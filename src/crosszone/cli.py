@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimator as est
 from .config import ConfigError, RunConfig, default_config, load_config
-from .dynamics import discretize
+from .dynamics import controlled_subsystem, step_integrals
 from .lp import InfeasibleControlError, optimize_controlled_zones
 from .model import CostModel, InvalidNetworkError, Signal, TimeGrid, Trajectory
 from .scenario import (
@@ -161,18 +161,9 @@ def _reconstruct(cfg: RunConfig, data: dict, experiment: bool) -> Trajectory:
     if experiment:
         ctrl = cfg.plan.controlled
         cidx = np.asarray(ctrl, dtype=int) - 1
-        sub = discretize(cfg.network, grid, zones=ctrl)
-        alpha = cfg.network.conductances_kw_per_c
-        boundary = np.zeros(len(ctrl))
-        for pos, i in enumerate(ctrl):
-            for j in cfg.plan.uncontrolled:
-                boundary[pos] += alpha[i, j] * temps[0, j - 1]
-        w_eff = gains[:, cidx] + boundary
-        integrals[:, cidx] = (
-            temps[:-1, cidx] @ sub.iphi.T
-            + powers[:, cidx] @ sub.igamma_q.T
-            + w_eff @ sub.igamma_w.T
-            + np.outer(outdoor, sub.igamma_0)
+        sub, boundary_kw = controlled_subsystem(cfg.network, grid, ctrl, temps[0])
+        integrals[:, cidx] = step_integrals(
+            sub, temps[:, cidx], powers[:, cidx], gains[:, cidx] + boundary_kw, outdoor
         )
     return Trajectory(
         grid=grid,
@@ -331,10 +322,12 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     path = os.path.join(out_dir, "experiment.csv")
     write_trajectory_csv(path, exp, price.values)
     print(f"optimal controlled-zone cost: ${opt.objective_usd:.6f}")
+    cidx = np.asarray(cfg.plan.controlled, dtype=int) - 1
+    resim_dev = float(np.abs(exp.temps_c[:, cidx] - opt.temps_c).max())
     print(
         f"solver: {opt.solution.iterations} iterations, "
         f"max KKT residual {opt.solution.residuals.max():.2e}, "
-        f"re-simulation deviation {opt.resim_max_dev_c:.2e} degC"
+        f"re-simulation deviation {resim_dev:.2e} degC"
     )
     print(f"wrote {path}")
     return 0
@@ -358,7 +351,12 @@ def cmd_estimate(cfg: RunConfig, out_dir: str, baseline_path: str, experiment_pa
     base = _reconstruct(cfg, base_data, experiment=False)
     exp = _reconstruct(cfg, exp_data, experiment=True)
     cost = CostModel.uniform(base_data["price"], n)
-    report = est.savings_report(base, exp, cfg.network, cost, cfg.plan)
+    try:
+        report = est.savings_report(base, exp, cfg.network, cost, cfg.plan)
+    except est.UncontrolledZonePerturbedError as exc:
+        raise DataMismatchError(
+            f"{experiment_path} does not fit the config's controlled zones {cfg.plan.controlled}: {exc}"
+        ) from None
     path = os.path.join(out_dir, "savings_report.json")
     write_report_json(path, report)
     print(format_report_table(report))

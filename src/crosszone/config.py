@@ -255,6 +255,9 @@ def load_config(path: str) -> RunConfig:
     q_min = float(_get(doc, "power_limits.min_kw", 0.0))
     q_max_raw = _get(doc, "power_limits.max_kw", None)
     q_max = np.inf if q_max_raw is None else float(q_max_raw)
+    constant_price = _get(doc, "constant_price", False)
+    if not isinstance(constant_price, bool):
+        raise ConfigError("constant_price", f"must be true or false, got {constant_price!r}")
 
     return RunConfig(
         network=network,
@@ -272,5 +275,5 @@ def load_config(path: str) -> RunConfig:
         synthetic_weather_kwargs=dict(synth),
         q_min_kw=q_min,
         q_max_kw=q_max,
-        constant_price=bool(_get(doc, "constant_price", False)),
+        constant_price=constant_price,
     )

@@ -32,7 +32,9 @@ from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values, vali
 __all__ = [
     "DiscreteModel",
     "discretize",
+    "controlled_subsystem",
     "simulate",
+    "step_integrals",
     "weighted_integral",
     "stieltjes_integral",
 ]
@@ -44,24 +46,22 @@ class DiscreteModel:
 
     ``zones`` lists the 1-based zone numbers the state covers, in state
     order. For a submodel, couplings to omitted zones appear only as extra
-    loss terms on the diagonal; the heat inflow ``alpha_ij * T_j`` from an
-    omitted zone j must be added to the gain input by the caller.
+    loss terms on the diagonal; ``controlled_subsystem`` returns the heat
+    inflow ``alpha_ij * T_j`` from omitted zones, which joins the gains w.
 
-    The sample update is
-        T(k+1) = phi T(k) + gamma_q q(k) + gamma_w w(k) + gamma_0 T0(k)
+    Power q and gains w enter a zone alike and share one input matrix:
+        T(k+1) = phi T(k) + gamma_q (q(k) + w(k)) + gamma_0 T0(k)
     and the exact within-step integral of the continuous solution is
-        int T dt = iphi T(k) + igamma_q q(k) + igamma_w w(k) + igamma_0 T0(k).
+        int T dt = iphi T(k) + igamma_q (q(k) + w(k)) + igamma_0 T0(k).
     """
 
     grid: TimeGrid
     zones: tuple[int, ...]
     phi: np.ndarray
     gamma_q: np.ndarray
-    gamma_w: np.ndarray
     gamma_0: np.ndarray
     iphi: np.ndarray
     igamma_q: np.ndarray
-    igamma_w: np.ndarray
     igamma_0: np.ndarray
 
     @property
@@ -123,12 +123,48 @@ def discretize(net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...] | Non
         zones=zones,
         phi=phi,
         gamma_q=j1 * inv_c[None, :],
-        gamma_w=j1 * inv_c[None, :],
         gamma_0=j1 @ b0,
         iphi=j1,
         igamma_q=j2 * inv_c[None, :],
-        igamma_w=j2 * inv_c[None, :],
         igamma_0=j2 @ b0,
+    )
+
+
+def controlled_subsystem(
+    net: ThermalNetwork, grid: TimeGrid, controlled: tuple[int, ...], pinned_c: np.ndarray
+) -> tuple[DiscreteModel, np.ndarray]:
+    """Exact model of the ``controlled`` zones with every other zone pinned.
+
+    ``pinned_c`` holds all n zone temperatures [degC]; the entries of the
+    zones outside ``controlled`` are the fixed boundary values. Returns the
+    sub-network's DiscreteModel and the constant heat inflow
+    ``sum_j alpha_ij T_j`` [kW] from the pinned zones into each controlled
+    zone, which enters the model as part of the gain input.
+    """
+    sub = discretize(net, grid, zones=controlled)
+    rows = np.asarray(controlled, dtype=int)
+    boundary_kw = np.zeros(len(rows))
+    for j in range(1, net.n + 1):
+        if j not in controlled:
+            boundary_kw += net.conductances_kw_per_c[rows, j] * pinned_c[j - 1]
+    return sub, boundary_kw
+
+
+def step_integrals(
+    model: DiscreteModel, temps: np.ndarray, q: np.ndarray, w: np.ndarray, t0: np.ndarray
+) -> np.ndarray:
+    """Exact within-step integrals of T [degC*h], shape (K, size).
+
+    ``temps`` holds the K+1 samples of the model's zones; ``q``, ``w`` and
+    ``t0`` are the inputs held over each of the K steps.
+    """
+    # q and w take separate products (here and in simulate): (q + w) @ M
+    # rounds differently and would move the last bits of every output.
+    return (
+        temps[:-1] @ model.iphi.T
+        + q @ model.igamma_q.T
+        + w @ model.igamma_q.T
+        + np.outer(t0, model.igamma_0)
     )
 
 
@@ -162,22 +198,16 @@ def simulate(
     temps = np.empty((k + 1, s))
     temps[0] = t_init
     # Per-step input contributions, vectorized over time.
-    drive = q @ model.gamma_q.T + w @ model.gamma_w.T + np.outer(t0, model.gamma_0)
+    drive = q @ model.gamma_q.T + w @ model.gamma_q.T + np.outer(t0, model.gamma_0)
     for i in range(k):
         temps[i + 1] = model.phi @ temps[i] + drive[i]
-    integrals = (
-        temps[:-1] @ model.iphi.T
-        + q @ model.igamma_q.T
-        + w @ model.igamma_w.T
-        + np.outer(t0, model.igamma_0)
-    )
     return Trajectory(
         grid=model.grid,
         temps_c=temps,
         powers_kw=q,
         gains_kw=w,
         outdoor_c=t0,
-        temp_integrals_c_h=integrals,
+        temp_integrals_c_h=step_integrals(model, temps, q, w, t0),
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import discretize, simulate
+from .dynamics import controlled_subsystem
 from .model import Signal, ThermalNetwork, TimeGrid, as_values
 from .scenario import SetpointPlan
 
@@ -329,13 +329,16 @@ def _farkas(sim: _Simplex, prob: LpProblem, tol: float) -> FarkasCertificate:
     y = sim.y.copy()
     aty = prob.a_eq.T @ y
     aty[np.abs(aty) <= max(tol, 1e-9) * (1.0 + np.abs(aty).max(initial=0.0))] = 0.0
-    sup = 0.0
-    for j in range(prob.n_vars):
-        if aty[j] > 0:
-            sup += aty[j] * (prob.upper[j] if np.isfinite(prob.upper[j]) else 0.0)
-        elif aty[j] < 0:
-            sup += aty[j] * (prob.lower[j] if np.isfinite(prob.lower[j]) else 0.0)
+    upper = np.where(np.isfinite(prob.upper), prob.upper, 0.0)
+    lower = np.where(np.isfinite(prob.lower), prob.lower, 0.0)
+    sup = float(np.maximum(aty, 0.0) @ upper + np.minimum(aty, 0.0) @ lower)
     return FarkasCertificate(kind="rows", gap=float(prob.b_eq @ y - sup), y=y)
+
+
+def _unfinished(status: str, iterations: int) -> LpSolution:
+    """Solution record for a run that stopped without an optimal basis."""
+    message = "objective unbounded below" if status == "unbounded" else ""
+    return LpSolution(status, None, None, None, None, iterations, message=message)
 
 
 def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) -> LpSolution:
@@ -368,8 +371,8 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
     sim = _Simplex(prob)
     c_phase1 = np.concatenate([np.zeros(n), np.ones(m)])
     status = sim.run_phase(c_phase1, tol, max_iter, allow_unbounded=False)
-    if status == "iteration-limit":
-        return LpSolution("iteration-limit", None, None, None, None, sim.iterations)
+    if status != "optimal":
+        return _unfinished(status, sim.iterations)
     infeas = float(sim.x[n:].sum())
     if infeas > max(tol, 1e-9) * (1.0 + float(np.abs(prob.b_eq).max(initial=0.0))):
         cert = _farkas(sim, prob, tol)
@@ -389,12 +392,8 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
     sim.x[n:] = np.maximum(sim.x[n:], 0.0)
     c_phase2 = np.concatenate([prob.c, np.zeros(m)])
     status = sim.run_phase(c_phase2, tol, max_iter, allow_unbounded=True)
-    if status == "iteration-limit":
-        return LpSolution("iteration-limit", None, None, None, None, sim.iterations)
-    if status == "unbounded":
-        return LpSolution(
-            "unbounded", None, None, None, None, sim.iterations, message="objective unbounded below"
-        )
+    if status != "optimal":
+        return _unfinished(status, sim.iterations)
 
     sim.refactor()
     x = sim.x[:n].copy()
@@ -403,10 +402,11 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
     if res.max() > tol:
         # One clean refactorized re-run of the optimality phase.
         status = sim.run_phase(c_phase2, tol, max_iter, allow_unbounded=True)
+        if status != "optimal":
+            return _unfinished(status, sim.iterations)
         sim.refactor()
         x = sim.x[:n].copy()
-        c_b = c_phase2[sim.basis]
-        y = sim.b_inv.T @ c_b
+        y = sim.b_inv.T @ c_phase2[sim.basis]
         res = kkt_residuals(prob, x, y)
         if res.max() > tol:
             raise ArithmeticError(f"simplex converged but KKT residuals are {res}")
@@ -453,15 +453,10 @@ def build_control_lp(
     if gains.shape != (k, plan.n):
         raise ValueError(f"gains shape {gains.shape}, expected {(k, plan.n)}")
 
-    sub = discretize(net, grid, zones=ctrl)
+    sub, boundary_kw = controlled_subsystem(net, grid, ctrl, plan.setpoints_c)
     cidx = np.asarray(ctrl, dtype=int) - 1
-    alpha = net.conductances_kw_per_c
-    boundary_kw = np.zeros(mz)
-    for pos, i in enumerate(ctrl):
-        for j in plan.uncontrolled:
-            boundary_kw[pos] += alpha[i, j] * plan.setpoints_c[j - 1]
     w_eff = gains[:, cidx] + boundary_kw
-    affine = w_eff @ sub.gamma_w.T + np.outer(t0, sub.gamma_0)
+    affine = w_eff @ sub.gamma_q.T + np.outer(t0, sub.gamma_0)
 
     n_temp = mz * (k + 1)
     n_vars = n_temp + mz * k
@@ -521,7 +516,6 @@ class ControlOptimum:
     temps_c: np.ndarray
     objective_usd: float
     solution: LpSolution = field(repr=False)
-    resim_max_dev_c: float
 
 
 class InfeasibleControlError(RuntimeError):
@@ -562,10 +556,9 @@ def optimize_controlled_zones(
 ) -> ControlOptimum:
     """Plan the controlled zones' powers and temperatures.
 
-    Solves the control LP, then re-simulates the planned powers through
-    the exact discretization; the reported ``resim_max_dev_c`` is the
-    largest temperature difference between plan and re-simulation, which
-    should sit at solver-tolerance level.
+    Solves the control LP. The planned temperatures satisfy the exact
+    discretization to solver tolerance, so ``run_experiment`` on the
+    planned powers reproduces them; this function does not re-simulate.
 
     Raises:
         InfeasibleControlError: when the LP has no feasible point; carries
@@ -583,29 +576,9 @@ def optimize_controlled_zones(
     k = grid.steps
     mz = plan.m
     n_temp = mz * (k + 1)
-    temps = sol.x[:n_temp].reshape(mz, k + 1).T
-    q = sol.x[n_temp:].reshape(mz, k).T
-
-    sub = discretize(net, grid, zones=plan.controlled)
-    cidx = np.asarray(plan.controlled, dtype=int) - 1
-    alpha = net.conductances_kw_per_c
-    boundary_kw = np.zeros(mz)
-    for pos, i in enumerate(plan.controlled):
-        for j in plan.uncontrolled:
-            boundary_kw[pos] += alpha[i, j] * plan.setpoints_c[j - 1]
-    gains = np.asarray(gains_kw, dtype=float)
-    resim = simulate(
-        sub,
-        plan.setpoints_c[cidx],
-        q,
-        gains[:, cidx] + boundary_kw,
-        as_values(outdoor, k),
-    )
-    dev = float(np.abs(resim.temps_c - temps).max())
     return ControlOptimum(
-        q_kw=q,
-        temps_c=temps,
+        q_kw=sol.x[n_temp:].reshape(mz, k).T,
+        temps_c=sol.x[:n_temp].reshape(mz, k + 1).T,
         objective_usd=float(sol.objective),
         solution=sol,
-        resim_max_dev_c=dev,
     )

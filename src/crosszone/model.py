@@ -199,32 +199,26 @@ def as_values(x: "Signal | Iterable[float] | np.ndarray", steps: int | None = No
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-zone thermal prices and fixed cost offsets on a grid.
+    """Per-zone thermal prices on a grid.
 
     ``prices_usd_per_kwh[i-1, k]`` is the price of delivered thermal
-    energy in zone i during step k. Offsets are carried for completeness;
-    they cancel in every savings quantity and never enter computations.
+    energy in zone i during step k. Fixed cost offsets are not modelled:
+    they cancel in every savings quantity.
     """
 
     prices_usd_per_kwh: np.ndarray
-    offsets_usd_per_h: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.prices_usd_per_kwh, dtype=float))
         if not np.all(np.isfinite(p)):
             raise ValueError("prices contain non-finite values")
         object.__setattr__(self, "prices_usd_per_kwh", _readonly(p))
-        if self.offsets_usd_per_h is not None:
-            b = np.atleast_2d(np.asarray(self.offsets_usd_per_h, dtype=float))
-            if b.shape != p.shape:
-                raise ValueError(f"offsets shape {b.shape} != prices shape {p.shape}")
-            object.__setattr__(self, "offsets_usd_per_h", _readonly(b))
 
     @classmethod
-    def uniform(cls, price: "Signal | np.ndarray", n: int, offsets: np.ndarray | None = None) -> "CostModel":
+    def uniform(cls, price: "Signal | np.ndarray", n: int) -> "CostModel":
         """Same price signal for every zone."""
         v = as_values(price)
-        return cls(np.tile(v, (n, 1)), offsets)
+        return cls(np.tile(v, (n, 1)))
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import discretize, simulate
+from .dynamics import controlled_subsystem, simulate
 from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values, validate_network
 
 __all__ = [
@@ -361,13 +361,7 @@ def run_experiment(
     gains = np.asarray(gains_kw, dtype=float).reshape(k, n)
     t0 = weather.outdoor.values
 
-    sub = discretize(net, grid, zones=ctrl)
-    # Heat inflow from the pinned neighbour zones, constant in time.
-    alpha = net.conductances_kw_per_c
-    boundary_kw = np.zeros(len(ctrl))
-    for pos, i in enumerate(ctrl):
-        for j in unc:
-            boundary_kw[pos] += alpha[i, j] * plan.setpoints_c[j - 1]
+    sub, boundary_kw = controlled_subsystem(net, grid, ctrl, plan.setpoints_c)
     sub_traj = simulate(sub, plan.setpoints_c[cidx], q_ctrl, gains[:, cidx] + boundary_kw, t0)
 
     temps = np.tile(plan.setpoints_c, (k + 1, 1))

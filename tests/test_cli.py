@@ -73,6 +73,12 @@ class TestSimulate:
         path.write_text("{not json", encoding="utf-8")
         assert run_cli("simulate", "--config", path, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_boolean_constant_price_exits_two(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, constant_price=value)
+        assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
+        assert "constant_price" in capsys.readouterr().err
+
     def test_unknown_synthetic_weather_key_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, weather={"synthetic": {"typo_mean": -10}})
         assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
@@ -203,6 +209,44 @@ class TestEstimate:
         cfg = write_config(tmp_path)
         code = run_cli("estimate", "--config", cfg, "--out-dir", tmp_path)
         assert code == 2
+
+    def test_controlled_set_differing_from_files_exits_four(self, tmp_path, capsys):
+        _, out = self._produce(tmp_path)
+        other = write_config(tmp_path, name="zone2.json", zones={"setpoints_c": [21, 21], "controlled": [2]})
+        code = run_cli("estimate", "--config", other, "--out-dir", out)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch:")
+        assert "uncontrolled zone 1" in err
+
+    def test_reconstruct_matches_experiment_with_two_controlled_zones(self):
+        import dataclasses
+
+        from conftest import random_network
+
+        from crosszone.cli import _reconstruct
+        from crosszone.config import default_config
+        from crosszone.model import Signal, TimeGrid
+        from crosszone.scenario import SetpointPlan, WeatherSeries, run_experiment
+
+        rng = np.random.default_rng(11)
+        net = random_network(rng, 4)
+        grid = TimeGrid(0.25, 48)
+        plan = SetpointPlan([21.0, 19.5, 22.0, 20.5], (1, 3))
+        cfg = dataclasses.replace(default_config(), network=net, plan=plan, grid=grid)
+        weather = WeatherSeries(grid, Signal(rng.uniform(-10.0, 5.0, 48)), Signal(np.zeros(48)))
+        gains = rng.uniform(0.0, 0.4, (48, 4))
+        exp = run_experiment(net, plan, weather, gains, grid, rng.uniform(0.0, 1.5, (48, 2)))
+        data = {
+            "temps": exp.temps_c,
+            "powers": exp.powers_kw,
+            "gains": exp.gains_kw,
+            "outdoor": exp.outdoor_c,
+            "dt_h": grid.dt_h,
+            "steps": grid.steps,
+        }
+        rebuilt = _reconstruct(cfg, data, experiment=True)
+        assert np.array_equal(rebuilt.temp_integrals_c_h, exp.temp_integrals_c_h)
 
 
 class TestReproduceExample:

@@ -221,18 +221,6 @@ class TestAccountingIdentity:
                 continue
             assert error / oracle == pytest.approx(2.0, rel=1e-10)
 
-    def test_offsets_never_enter(self, two_zone_network):
-        rng = np.random.default_rng(8)
-        grid = TimeGrid(0.25, 48)
-        plan = SetpointPlan([21.0, 21.0], (1,))
-        base, exp = perturbed_pair(rng, two_zone_network, plan, grid)
-        price = np.vstack([piecewise_constant_price(rng, grid.steps) for _ in range(2)])
-        plain = CostModel(price)
-        offset = CostModel(price, offsets_usd_per_h=rng.uniform(-5, 5, price.shape))
-        r1 = savings_report(base, exp, two_zone_network, plain, plan)
-        r2 = savings_report(base, exp, two_zone_network, offset, plan)
-        assert r1 == r2
-
     def test_price_scaling_equivariance(self, two_zone_network):
         rng = np.random.default_rng(9)
         grid = TimeGrid(0.25, 48)

@@ -6,11 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
+from crosszone import lp as lp_module
 from crosszone.cli import _prepare_inputs
 from crosszone.config import default_config
 from crosszone.lp import (
     ComfortSchedule,
     InfeasibleControlError,
+    KktResiduals,
     LpProblem,
     build_control_lp,
     kkt_residuals,
@@ -18,7 +20,7 @@ from crosszone.lp import (
     solve_lp,
 )
 from crosszone.model import Signal, ThermalNetwork, TimeGrid
-from crosszone.scenario import SetpointPlan, run_baseline
+from crosszone.scenario import SetpointPlan, WeatherSeries, run_baseline, run_experiment
 
 
 def small_cfg(steps=96):
@@ -117,6 +119,34 @@ class TestSolveLp:
     def test_unbounded(self):
         prob = LpProblem(c=[-1.0], a_eq=np.zeros((0, 1)), b_eq=[], lower=[0.0], upper=[np.inf])
         assert solve_lp(prob).status == "unbounded"
+
+    @pytest.mark.parametrize("retry_status", ["iteration-limit", "unbounded"])
+    def test_kkt_retry_reports_its_own_status(self, monkeypatch, retry_status):
+        # The first KKT check fails, forcing a re-run of the optimality
+        # phase; a re-run that stops early must not come back "optimal".
+        real_run_phase = lp_module._Simplex.run_phase
+        real_kkt = lp_module.kkt_residuals
+        phases = []
+        checks = []
+
+        def run_phase(self, *args, **kwargs):
+            phases.append(None)
+            if len(phases) == 3:
+                return retry_status
+            return real_run_phase(self, *args, **kwargs)
+
+        def kkt(*args):
+            checks.append(None)
+            if len(checks) == 1:
+                return KktResiduals(primal=1.0, dual=0.0, complementarity=0.0)
+            return real_kkt(*args)
+
+        monkeypatch.setattr(lp_module._Simplex, "run_phase", run_phase)
+        monkeypatch.setattr(lp_module, "kkt_residuals", kkt)
+        sol = solve_lp(facet_lp())
+        assert len(phases) == 3
+        assert sol.status == retry_status
+        assert sol.x is None
 
     def test_iteration_limit_reported(self):
         sol = solve_lp(facet_lp(), max_iter=0)
@@ -278,7 +308,8 @@ class TestOptimizeControlledZones:
         baseline_cost = float(price.values @ base.powers_kw[:, 0]) * cfg.grid.dt_h
         assert opt.objective_usd <= baseline_cost + 1e-12
         assert opt.solution.residuals.max() <= 1e-8
-        assert opt.resim_max_dev_c <= 1e-8
+        exp = run_experiment(cfg.network, cfg.plan, weather, gains, cfg.grid, opt.q_kw)
+        assert np.abs(exp.temps_c[:, [0]] - opt.temps_c).max() <= 1e-8
 
     def test_boundary_samples_pinned(self):
         cfg = small_cfg()
@@ -339,7 +370,9 @@ class TestOptimizeControlledZones:
         opt = optimize_controlled_zones(net, plan, grid, price, comfort, gains, outdoor)
         assert opt.q_kw.shape == (48, 2)
         assert opt.solution.residuals.max() <= 1e-8
-        assert opt.resim_max_dev_c <= 1e-8
+        weather = WeatherSeries(grid, outdoor, Signal(np.zeros(48)))
+        exp = run_experiment(net, plan, weather, gains, grid, opt.q_kw)
+        assert np.abs(exp.temps_c[:, [0, 1]] - opt.temps_c).max() <= 1e-8
         assert np.abs(opt.temps_c[0] - [21.0, 20.0]).max() <= 1e-9
         assert np.abs(opt.temps_c[-1] - [21.0, 20.0]).max() <= 1e-9
 

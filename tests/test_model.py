@@ -90,10 +90,6 @@ class TestCostModel:
         assert cm.prices_usd_per_kwh.shape == (3, 2)
         assert np.array_equal(cm.zone_price(3), [0.1, 0.2])
 
-    def test_offset_shape_checked(self):
-        with pytest.raises(ValueError):
-            CostModel(np.ones((2, 4)), offsets_usd_per_h=np.ones((2, 3)))
-
 
 class TestTrajectory:
     def test_shape_contract(self):
