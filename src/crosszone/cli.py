@@ -100,7 +100,9 @@ def read_trajectory_csv(path: str) -> dict:
     """Parse a trajectory CSV back into arrays.
 
     Returns a dict with temps (K+1, n), powers/gains (K, n), outdoor and
-    price (K,), dt_h and steps.
+    price (K,), dt_h and steps. Every row must carry the header's field
+    count, the final one only its time and temperatures, and every value
+    must be finite; otherwise DataMismatchError names the file and row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -123,6 +125,8 @@ def read_trajectory_csv(path: str) -> dict:
     times = np.empty(k + 1)
     try:
         for idx, row in enumerate(rows):
+            if len(row) != expected_cols:
+                raise ValueError(f"expected {expected_cols} fields, got {len(row)}")
             times[idx] = float(row[1])
             temps[idx] = [float(v) for v in row[2 : 2 + n]]
             if idx < k:
@@ -130,8 +134,14 @@ def read_trajectory_csv(path: str) -> dict:
                 gains[idx] = [float(v) for v in row[2 + 2 * n : 2 + 3 * n]]
                 outdoor[idx] = float(row[2 + 3 * n])
                 price[idx] = float(row[3 + 3 * n])
-    except (ValueError, IndexError) as exc:
+            elif any(row[2 + n :]):
+                raise ValueError("the final row carries only the time and the last temperatures")
+    except ValueError as exc:
         raise DataMismatchError(f"{path}: row {idx + 2}: {exc}") from None
+    finite = np.isfinite(np.column_stack([times, temps])).all(axis=1)
+    finite[:k] &= np.isfinite(np.column_stack([powers, gains, outdoor, price])).all(axis=1)
+    if not finite.all():
+        raise DataMismatchError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite value")
     dt = float(np.diff(times).mean())
     if not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9):
         raise DataMismatchError(f"{path}: time column is not uniform")
@@ -312,7 +322,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, out_dir: str, svg: bool) -> int:
+def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     weather, gains, price = _prepare_inputs(cfg)
     opt = optimize_controlled_zones(
         cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor,
@@ -416,7 +426,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     if args.square is not None:
         walls, ratio = args.square
         try:
-            case = est.GeometryCase.square_footprint(int(float(walls)), float(ratio))
+            case = est.GeometryCase.square_footprint(float(walls), float(ratio))
         except ValueError as exc:
             raise ConfigError("geometry.square", str(exc)) from None
     else:
@@ -451,22 +461,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--out-dir", metavar="PATH", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the gain-noise seed")
-        p.add_argument("--svg", action="store_true", help="also write SVG charts")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    config.add_argument("--out-dir", metavar="PATH", default=".", help="output directory")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the gain-noise seed")
+    svg = argparse.ArgumentParser(add_help=False)
+    svg.add_argument("--svg", action="store_true", help="also write SVG charts")
 
-    p = sub.add_parser("simulate", help="run the baseline scenario")
-    add_common(p)
-    p = sub.add_parser("optimize", help="optimize the controlled zones and run the experiment")
-    add_common(p)
-    p = sub.add_parser("estimate", help="savings report from trajectory CSVs")
-    add_common(p)
+    sub.add_parser("simulate", parents=[config, seed, svg], help="run the baseline scenario")
+    sub.add_parser(
+        "optimize", parents=[config, seed], help="optimize the controlled zones and run the experiment"
+    )
+    p = sub.add_parser("estimate", parents=[config], help="savings report from trajectory CSVs")
     p.add_argument("--baseline", metavar="PATH", default=None, help="baseline.csv path")
     p.add_argument("--experiment", metavar="PATH", default=None, help="experiment.csv path")
-    p = sub.add_parser("reproduce-example", help="run the built-in two-zone cold-snap study")
-    add_common(p)
+    p = sub.add_parser(
+        "reproduce-example", parents=[config, seed, svg], help="run the built-in two-zone cold-snap study"
+    )
     p.add_argument(
         "--constant-price",
         action="store_true",
@@ -493,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "geometry":
             return cmd_geometry(args)
         cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg = cfg.with_seed(args.seed)
         if getattr(args, "constant_price", False):
             cfg = dataclasses.replace(cfg, constant_price=True)
@@ -502,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, args.svg)
         if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir, args.svg)
+            return cmd_optimize(cfg, out_dir)
         if args.command == "estimate":
             baseline = args.baseline or os.path.join(out_dir, "baseline.csv")
             experiment = args.experiment or os.path.join(out_dir, "experiment.csv")

@@ -8,13 +8,15 @@ to the package-internal kW/degC on load.
 from __future__ import annotations
 
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lp import ComfortSchedule
-from .model import InvalidNetworkError, ThermalNetwork, TimeGrid, validate_network
+from .model import ThermalNetwork, TimeGrid, validate_network
 from .scenario import (
     CopCurve,
     GainSpec,
@@ -68,194 +70,180 @@ class RunConfig:
             if not os.path.exists(self.weather_csv):
                 raise ConfigError("weather.csv", f"file not found: {self.weather_csv}")
             return load_weather(self.weather_csv, self.grid)
-        try:
+        with _fields("weather.synthetic"):
             return synthetic_weather(self.grid, **self.synthetic_weather_kwargs)
-        except TypeError as exc:
-            raise ConfigError("weather.synthetic", str(exc)) from None
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, gain_spec=replace(self.gain_spec, seed=seed))
 
 
+# The built-in two-zone winter study (square 10 m x 10 m floor plan), in the
+# config file format. Zone 1 is one quarter of the floor area and is the
+# controlled zone; zone 2 wraps around it. Exterior walls are insulated twice
+# as well as interior ones, a five-day cold snap drives the heating, and a
+# three-level time-of-use tariff prices the heat pump's electricity.
+_DEFAULT_DOC = {
+    "network": {
+        "capacitances_kwh_per_c": [0.27, 0.81],
+        "conductances_w_per_c": [[0, 45, 135], [45, 0, 90], [135, 90, 0]],
+    },
+    "zones": {"setpoints_c": [21.0, 21.0], "controlled": [1]},
+    "grid": {"dt_h": 0.25, "steps": 480, "start_hour": 0.0},
+    "tariff": [
+        {"start_hour": 22, "end_hour": 6, "price_usd_per_kwh": 0.12},
+        {"start_hour": 6, "end_hour": 14, "price_usd_per_kwh": 0.14},
+        {"start_hour": 14, "end_hour": 19, "price_usd_per_kwh": 0.16},
+        {"start_hour": 19, "end_hour": 22, "price_usd_per_kwh": 0.14},
+    ],
+    "cop": {"t_low_c": -15, "cop_low": 1.8, "t_high_c": 8.3, "cop_high": 3.3, "cop_floor": 1.0},
+    "gains": {
+        "window_to_wall": 0.25,
+        "solar_mean_kw_per_m2": 0.01,
+        "internal_kw_per_m2": 0.01,
+        "noise_fraction": 0.1,
+        "seed": 1,
+    },
+    "areas": {"exterior_wall_m2": [30, 90], "floor_m2": [25, 75]},
+    "comfort": {"tight_band_c": 1.0, "wide_band_c": 2.0, "tight_hours": [[6, 9], [18, 22]]},
+    "weather": {"synthetic": {}},
+    "power_limits": {"min_kw": 0.0, "max_kw": None},
+    "constant_price": False,
+}
+
+
 def default_config() -> RunConfig:
-    """Built-in two-zone winter study (square 10 m x 10 m floor plan).
-
-    Zone 1 is one quarter of the floor area and is the controlled zone;
-    zone 2 wraps around it. Exterior walls are insulated twice as well as
-    interior ones, a five-day cold snap drives the heating, and a
-    three-level time-of-use tariff prices the heat pump's electricity.
-    """
-    return RunConfig(
-        network=ThermalNetwork(
-            capacitances_kwh_per_c=[0.27, 0.81],
-            conductances_kw_per_c=[
-                [0.0, 0.045, 0.135],
-                [0.045, 0.0, 0.090],
-                [0.135, 0.090, 0.0],
-            ],
-        ),
-        plan=SetpointPlan([21.0, 21.0], (1,)),
-        grid=TimeGrid(dt_h=0.25, steps=480, origin_hour=0.0),
-        tariff=Tariff(
-            (
-                TariffPeriod(22.0, 6.0, 0.12),
-                TariffPeriod(6.0, 14.0, 0.14),
-                TariffPeriod(14.0, 19.0, 0.16),
-                TariffPeriod(19.0, 22.0, 0.14),
-            )
-        ),
-        cop_curve=CopCurve(-15.0, 1.8, 8.3, 3.3, 1.0),
-        gain_spec=GainSpec(
-            window_to_wall=0.25,
-            solar_mean_target_kw_per_m2=0.01,
-            internal_density_kw_per_m2=0.01,
-            noise_fraction=0.10,
-            seed=1,
-        ),
-        exterior_wall_m2=np.array([30.0, 90.0]),
-        floor_m2=np.array([25.0, 75.0]),
-        tight_band_c=1.0,
-        wide_band_c=2.0,
-        tight_windows=((6.0, 9.0), (18.0, 22.0)),
-        weather_csv=None,
-        synthetic_weather_kwargs={},
-        q_min_kw=0.0,
-        q_max_kw=np.inf,
-    )
-
-
-def _get(doc: dict, fieldname: str, default=None, required: bool = False):
-    parts = fieldname.split(".")
-    node = doc
-    for p in parts:
-        if not isinstance(node, dict) or p not in node:
-            if required:
-                raise ConfigError(fieldname, "missing required field")
-            return default
-        node = node[p]
-    return node
+    """Built-in two-zone winter study: the config document with no overrides."""
+    return _parse(_DEFAULT_DOC, os.curdir)
 
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON config file.
 
-    Every field is optional; omitted fields keep the built-in default.
-    Raises ConfigError naming the field on any problem.
+    Every field is optional: the file is merged over the built-in study,
+    objects field by field, lists and scalars replaced whole. A network
+    given without ``zones.setpoints_c`` holds every zone at the built-in
+    setpoint. Raises ConfigError naming the field on any problem.
     """
-    base = default_config()
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            user = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
+    if not isinstance(user, dict):
         raise ConfigError("config", "top level must be a JSON object")
+    doc = _merged(_DEFAULT_DOC, user, "")
+    if "network" in user and "setpoints_c" not in user.get("zones", {}):
+        with _fields("network.capacitances_kwh_per_c"):
+            n = np.size(doc["network"]["capacitances_kwh_per_c"])
+        doc["zones"] = {**doc["zones"], "setpoints_c": _DEFAULT_DOC["zones"]["setpoints_c"][:1] * n}
+    return _parse(doc, os.path.dirname(os.path.abspath(path)))
 
-    network = base.network
-    if "network" in doc:
-        caps = _get(doc, "network.capacitances_kwh_per_c", required=True)
-        cond = _get(doc, "network.conductances_w_per_c", required=True)
-        try:
-            network = ThermalNetwork(
-                np.asarray(caps, dtype=float), np.asarray(cond, dtype=float) / 1000.0
-            )
-            validate_network(network)
-        except InvalidNetworkError as exc:
-            raise ConfigError("network", str(exc)) from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("network", str(exc)) from None
 
-    grid = base.grid
-    if "grid" in doc:
-        try:
-            grid = TimeGrid(
-                dt_h=float(_get(doc, "grid.dt_h", base.grid.dt_h)),
-                steps=int(_get(doc, "grid.steps", base.grid.steps)),
-                origin_hour=float(_get(doc, "grid.start_hour", base.grid.origin_hour)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("grid", str(exc)) from None
+def _merged(base: dict, over: dict, prefix: str) -> dict:
+    """``over`` laid on ``base``: objects merge key by key, anything else replaces."""
+    out = dict(base)
+    for key, value in over.items():
+        if isinstance(base.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(prefix + key, f"must be an object, got {value!r}")
+            value = _merged(base[key], value, f"{prefix}{key}.")
+        out[key] = value
+    return out
 
-    plan = base.plan
-    if "zones" in doc or "network" in doc:
-        setpoints = _get(doc, "zones.setpoints_c", [21.0] * network.n)
-        controlled = _get(doc, "zones.controlled", list(base.plan.controlled))
-        try:
-            plan = SetpointPlan(np.asarray(setpoints, dtype=float), tuple(controlled))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("zones", str(exc)) from None
-        if plan.n != network.n:
-            raise ConfigError("zones.setpoints_c", f"{plan.n} setpoints for {network.n} zones")
 
-    tariff = base.tariff
-    if "tariff" in doc:
-        try:
-            tariff = Tariff(
-                tuple(
-                    TariffPeriod(float(p["start_hour"]), float(p["end_hour"]), float(p["price_usd_per_kwh"]))
-                    for p in doc["tariff"]
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("tariff", str(exc)) from None
-
-    cop_curve = base.cop_curve
-    if "cop" in doc:
-        try:
-            cop_curve = CopCurve(
-                t_low_c=float(_get(doc, "cop.t_low_c", required=True)),
-                cop_low=float(_get(doc, "cop.cop_low", required=True)),
-                t_high_c=float(_get(doc, "cop.t_high_c", required=True)),
-                cop_high=float(_get(doc, "cop.cop_high", required=True)),
-                cop_floor=float(_get(doc, "cop.cop_floor", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("cop", str(exc)) from None
-
-    gain_spec = base.gain_spec
-    if "gains" in doc:
-        try:
-            gain_spec = GainSpec(
-                window_to_wall=float(_get(doc, "gains.window_to_wall", 0.25)),
-                solar_mean_target_kw_per_m2=float(_get(doc, "gains.solar_mean_kw_per_m2", 0.01)),
-                internal_density_kw_per_m2=float(_get(doc, "gains.internal_kw_per_m2", 0.01)),
-                noise_fraction=float(_get(doc, "gains.noise_fraction", 0.10)),
-                seed=int(_get(doc, "gains.seed", 1)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("gains", str(exc)) from None
-
-    ext = np.asarray(_get(doc, "areas.exterior_wall_m2", base.exterior_wall_m2), dtype=float)
-    floor = np.asarray(_get(doc, "areas.floor_m2", base.floor_m2), dtype=float)
-    if ext.shape != (network.n,):
-        raise ConfigError("areas.exterior_wall_m2", f"expected {network.n} values, got shape {ext.shape}")
-    if floor.shape != (network.n,):
-        raise ConfigError("areas.floor_m2", f"expected {network.n} values, got shape {floor.shape}")
-
-    tight = float(_get(doc, "comfort.tight_band_c", base.tight_band_c))
-    wide = float(_get(doc, "comfort.wide_band_c", base.wide_band_c))
-    windows_raw = _get(doc, "comfort.tight_hours", [list(w) for w in base.tight_windows])
+@contextmanager
+def _fields(fieldname: str):
+    """Report a malformed value met while parsing ``fieldname`` as a ConfigError."""
     try:
-        windows = tuple((float(a), float(b)) for a, b in windows_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("comfort.tight_hours", str(exc)) from None
-    if tight < 0 or wide < 0:
-        raise ConfigError("comfort", "bands must be nonnegative")
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(fieldname, str(exc)) from None
 
-    weather_csv = _get(doc, "weather.csv")
-    synth = _get(doc, "weather.synthetic", {})
-    if not isinstance(synth, dict):
-        raise ConfigError("weather.synthetic", "must be an object of synthetic_weather arguments")
-    if weather_csv is not None:
-        base_dir = os.path.dirname(os.path.abspath(path))
-        weather_csv = os.path.join(base_dir, weather_csv) if not os.path.isabs(weather_csv) else weather_csv
 
-    q_min = float(_get(doc, "power_limits.min_kw", 0.0))
-    q_max_raw = _get(doc, "power_limits.max_kw", None)
-    q_max = np.inf if q_max_raw is None else float(q_max_raw)
-    constant_price = _get(doc, "constant_price", False)
+def _number(value, lo: float = -math.inf) -> float:
+    """``value`` as a finite float no less than ``lo``."""
+    x = float(value)
+    if not (math.isfinite(x) and x >= lo):
+        bound = f" >= {lo:g}" if lo > -math.inf else ""
+        raise ValueError(f"expected a finite number{bound}, got {value!r}")
+    return x
+
+
+def _areas(values, n: int) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"expected {n} values, got shape {a.shape}")
+    if not np.all((a >= 0) & (a < math.inf)):
+        raise ValueError(f"areas must be finite and nonnegative, got {values!r}")
+    return a
+
+
+def _parse(doc: dict, base_dir: str) -> RunConfig:
+    """Build a RunConfig from a complete config document.
+
+    ``base_dir`` anchors a relative ``weather.csv`` path.
+    """
+    with _fields("network"):
+        net = doc["network"]
+        network = validate_network(
+            ThermalNetwork(
+                np.asarray(net["capacitances_kwh_per_c"], dtype=float),
+                np.asarray(net["conductances_w_per_c"], dtype=float) / 1000.0,
+            )
+        )
+    with _fields("zones"):
+        zones = doc["zones"]
+        plan = SetpointPlan(np.asarray(zones["setpoints_c"], dtype=float), tuple(zones["controlled"]))
+    if plan.n != network.n:
+        raise ConfigError("zones.setpoints_c", f"{plan.n} setpoints for {network.n} zones")
+    with _fields("grid"):
+        g = doc["grid"]
+        grid = TimeGrid(dt_h=_number(g["dt_h"]), steps=int(g["steps"]), origin_hour=_number(g["start_hour"]))
+    with _fields("tariff"):
+        tariff = Tariff(
+            tuple(
+                TariffPeriod(_number(p["start_hour"]), _number(p["end_hour"]), _number(p["price_usd_per_kwh"]))
+                for p in doc["tariff"]
+            )
+        )
+    with _fields("cop"):
+        c = doc["cop"]
+        cop_curve = CopCurve(
+            *(_number(c[key]) for key in ("t_low_c", "cop_low", "t_high_c", "cop_high", "cop_floor"))
+        )
+    with _fields("gains"):
+        gains = doc["gains"]
+        gain_spec = GainSpec(
+            window_to_wall=_number(gains["window_to_wall"]),
+            solar_mean_target_kw_per_m2=_number(gains["solar_mean_kw_per_m2"]),
+            internal_density_kw_per_m2=_number(gains["internal_kw_per_m2"]),
+            noise_fraction=_number(gains["noise_fraction"]),
+            seed=int(gains["seed"]),
+        )
+    with _fields("areas.exterior_wall_m2"):
+        ext = _areas(doc["areas"]["exterior_wall_m2"], network.n)
+    with _fields("areas.floor_m2"):
+        floor = _areas(doc["areas"]["floor_m2"], network.n)
+    comfort = doc["comfort"]
+    with _fields("comfort.tight_band_c"):
+        tight = _number(comfort["tight_band_c"], lo=0.0)
+    with _fields("comfort.wide_band_c"):
+        wide = _number(comfort["wide_band_c"], lo=0.0)
+    with _fields("comfort.tight_hours"):
+        windows = tuple((_number(a), _number(b)) for a, b in comfort["tight_hours"])
+    weather = doc["weather"]
+    with _fields("weather.csv"):
+        weather_csv = weather.get("csv")
+        if weather_csv is not None:
+            weather_csv = os.path.join(base_dir, weather_csv)
+    limits = doc["power_limits"]
+    with _fields("power_limits.min_kw"):
+        q_min = _number(limits["min_kw"])
+    with _fields("power_limits.max_kw"):
+        q_max = math.inf if limits["max_kw"] is None else _number(limits["max_kw"])
+    constant_price = doc["constant_price"]
     if not isinstance(constant_price, bool):
         raise ConfigError("constant_price", f"must be true or false, got {constant_price!r}")
 
@@ -272,7 +260,7 @@ def load_config(path: str) -> RunConfig:
         wide_band_c=wide,
         tight_windows=windows,
         weather_csv=weather_csv,
-        synthetic_weather_kwargs=dict(synth),
+        synthetic_weather_kwargs=dict(weather["synthetic"]),
         q_min_kw=q_min,
         q_max_kw=q_max,
         constant_price=constant_price,

@@ -44,9 +44,9 @@ __all__ = [
 class DiscreteModel:
     """One-step exact discretization of a (sub)network.
 
-    ``zones`` lists the 1-based zone numbers the state covers, in state
-    order. For a submodel, couplings to omitted zones appear only as extra
-    loss terms on the diagonal; ``controlled_subsystem`` returns the heat
+    The state covers the zones passed to ``discretize``, in that order.
+    For a submodel, couplings to omitted zones appear only as extra loss
+    terms on the diagonal; ``controlled_subsystem`` returns the heat
     inflow ``alpha_ij * T_j`` from omitted zones, which joins the gains w.
 
     Power q and gains w enter a zone alike and share one input matrix:
@@ -56,7 +56,6 @@ class DiscreteModel:
     """
 
     grid: TimeGrid
-    zones: tuple[int, ...]
     phi: np.ndarray
     gamma_q: np.ndarray
     gamma_0: np.ndarray
@@ -120,7 +119,6 @@ def discretize(net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...] | Non
     inv_c = 1.0 / net.capacitances_kwh_per_c[np.asarray(zones) - 1]
     return DiscreteModel(
         grid=grid,
-        zones=zones,
         phi=phi,
         gamma_q=j1 * inv_c[None, :],
         gamma_0=j1 @ b0,

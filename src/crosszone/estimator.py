@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import stieltjes_integral, weighted_integral
+from .dynamics import _check_pair, stieltjes_integral, weighted_integral
 from .model import CostModel, ThermalNetwork, Trajectory
 from .scenario import SetpointPlan
 
@@ -89,14 +89,6 @@ class SavingsReport:
     oracle_true_usd: float
     per_zone: tuple[ZoneSavings, ...]
     relative_error: float | None
-
-
-def _check_pair(base: Trajectory, exp: Trajectory) -> None:
-    if not base.same_grid(exp):
-        raise ValueError(
-            "baseline and experiment disagree on grid or zone count: "
-            f"({base.grid.steps} steps, {base.n} zones) vs ({exp.grid.steps} steps, {exp.n} zones)"
-        )
 
 
 def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
@@ -277,40 +269,29 @@ class GeometryCase:
 
     ``u_int``/``u_ext`` are overall heat transfer coefficients
     [kW/(degC m^2)] of interior and exterior walls; ``a_int``/``a_ext``
-    the corresponding areas [m^2]. ``exterior_walls`` records the
-    square-footprint wall count when built via :meth:`square_footprint`.
+    the corresponding areas [m^2]. All four must be finite and
+    nonnegative.
     """
 
     u_int: float
     u_ext: float
     a_int: float
     a_ext: float
-    exterior_walls: int | None = None
 
     def __post_init__(self):
-        if min(self.u_int, self.u_ext, self.a_int, self.a_ext) < 0:
-            raise ValueError("heat transfer coefficients and areas must be nonnegative")
-        if self.exterior_walls is not None and self.exterior_walls not in range(5):
-            raise ValueError(f"exterior wall count must be in 0..4, got {self.exterior_walls}")
+        if not all(0 <= v < math.inf for v in (self.u_int, self.u_ext, self.a_int, self.a_ext)):
+            raise ValueError("heat transfer coefficients and areas must be finite and nonnegative")
 
     @classmethod
-    def square_footprint(
-        cls, exterior_walls: int, insulation_ratio: float, wall_area_m2: float = 1.0
-    ) -> "GeometryCase":
+    def square_footprint(cls, exterior_walls: int, insulation_ratio: float) -> "GeometryCase":
         """Box-shaped zone with a square footprint and adiabatic floor/ceiling.
 
-        ``exterior_walls`` of the four walls face outdoors; the rest are
-        interior. ``insulation_ratio`` is u_int/u_ext.
+        ``exterior_walls`` (an integer in 0..4) of the four equal walls face
+        outdoors; the rest are interior. ``insulation_ratio`` is u_int/u_ext.
         """
         if exterior_walls not in range(5):
-            raise ValueError(f"exterior wall count must be in 0..4, got {exterior_walls}")
-        return cls(
-            u_int=insulation_ratio,
-            u_ext=1.0,
-            a_int=(4 - exterior_walls) * wall_area_m2,
-            a_ext=exterior_walls * wall_area_m2,
-            exterior_walls=exterior_walls,
-        )
+            raise ValueError(f"exterior wall count must be an integer in 0..4, got {exterior_walls}")
+        return cls(u_int=insulation_ratio, u_ext=1.0, a_int=4.0 - exterior_walls, a_ext=1.0 * exterior_walls)
 
 
 def geometry_relative_error(case: GeometryCase) -> float:

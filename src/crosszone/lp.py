@@ -146,7 +146,6 @@ class FarkasCertificate:
     kind: str
     gap: float
     y: np.ndarray | None = None
-    variable: int | None = None
 
 
 @dataclass(frozen=True)
@@ -362,9 +361,7 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
             objective=None,
             residuals=None,
             iterations=0,
-            certificate=FarkasCertificate(
-                kind="bounds", gap=float(prob.lower[j] - prob.upper[j]), variable=j
-            ),
+            certificate=FarkasCertificate(kind="bounds", gap=float(prob.lower[j] - prob.upper[j])),
             message=f"variable {prob.names[j]} has lower {prob.lower[j]} > upper {prob.upper[j]}",
         )
 
@@ -552,7 +549,6 @@ def optimize_controlled_zones(
     outdoor: Signal | np.ndarray,
     q_min_kw: float = 0.0,
     q_max_kw: float = np.inf,
-    tol: float = 1e-8,
 ) -> ControlOptimum:
     """Plan the controlled zones' powers and temperatures.
 
@@ -565,7 +561,7 @@ def optimize_controlled_zones(
             the certificate and the implicated time window.
     """
     prob = build_control_lp(net, plan, grid, price, comfort, gains_kw, outdoor, q_min_kw, q_max_kw)
-    sol = solve_lp(prob, tol=tol)
+    sol = solve_lp(prob)
     if sol.status != "optimal":
         window = binding_window_h(sol, grid, plan.m)
         raise InfeasibleControlError(

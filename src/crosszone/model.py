@@ -85,11 +85,6 @@ class ThermalNetwork:
         """Conductance between nodes i and j (0 = outdoors) [kW/degC]."""
         return float(self.conductances_kw_per_c[i, j])
 
-    @property
-    def outdoor_couplings(self) -> np.ndarray:
-        """Vector of zone-to-outdoor conductances, zone i in slot i-1."""
-        return self.conductances_kw_per_c[1:, 0]
-
     def violations(self) -> list[str]:
         """Return all violated invariants (empty list when valid)."""
         out: list[str] = []

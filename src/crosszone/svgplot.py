@@ -33,7 +33,6 @@ class Series:
     y: np.ndarray
     label: str = ""
     color: str | None = None
-    width: float = 1.2
     dashed: bool = False
 
 
@@ -46,8 +45,8 @@ class Panel:
     ylabel: str
     series: list[Series] = field(default_factory=list)
 
-    def add(self, x, y, label: str = "", color: str | None = None, width: float = 1.2, dashed: bool = False) -> "Panel":
-        self.series.append(Series(np.asarray(x, float), np.asarray(y, float), label, color, width, dashed))
+    def add(self, x, y, label: str = "", color: str | None = None, dashed: bool = False) -> "Panel":
+        self.series.append(Series(np.asarray(x, float), np.asarray(y, float), label, color, dashed))
         return self
 
 
@@ -155,7 +154,7 @@ def _render_panel(panel: Panel, ox: float, oy: float, out: list[str]) -> None:
         dash = ' stroke-dasharray="5,3"' if s.dashed else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(s.width)}"{dash}/>'
+            f'stroke-width="1.20"{dash}/>'
         )
         if s.label:
             out.append(

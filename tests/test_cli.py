@@ -219,6 +219,30 @@ class TestEstimate:
         assert err.startswith("data mismatch:")
         assert "uncontrolled zone 1" in err
 
+    @pytest.mark.parametrize(
+        "final_row, cell, message",
+        [
+            ("96,24,21", None, "row 98: expected 10 fields, got 3"),
+            ("96,24,21,21,5,,,,,", None, "row 98: the final row carries only"),
+            (None, "nan", "row 5: non-finite value"),
+            (None, "inf", "row 5: non-finite value"),
+        ],
+    )
+    def test_malformed_rows_exit_four(self, tmp_path, capsys, final_row, cell, message):
+        cfg, out = self._produce(tmp_path)
+        path = out / "experiment.csv"
+        lines = path.read_text().splitlines()
+        if final_row is not None:
+            lines[-1] = final_row
+        else:
+            fields = lines[4].split(",")
+            fields[2] = cell
+            lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
     def test_reconstruct_matches_experiment_with_two_controlled_zones(self):
         import dataclasses
 
@@ -365,6 +389,21 @@ class TestGeometryCommand:
     def test_bad_wall_count_exits_two(self, capsys):
         assert run_cli("geometry", "--square", 5, 1.0) == 2
         assert "0..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--square", 2.7, 1),
+            ("--square", "1e400", 1),
+            ("--square", 2, "nan"),
+            ("--square", 2, "inf"),
+            ("--u-int", "nan", "--u-ext", 1, "--a-int", 1, "--a-ext", 1),
+            ("--u-int", 1, "--u-ext", 1, "--a-int", "inf", "--a-ext", 1),
+        ],
+    )
+    def test_non_integer_wall_count_or_non_finite_value_exits_two(self, capsys, args):
+        assert run_cli("geometry", *args) == 2
+        assert "config error: geometry" in capsys.readouterr().err
 
     def test_missing_arguments_exit_two(self, capsys):
         assert run_cli("geometry", "--u-int", 0.003) == 2

@@ -298,6 +298,13 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="0..4"):
             GeometryCase.square_footprint(5, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            GeometryCase(u_int=value, u_ext=1.0, a_int=1.0, a_ext=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GeometryCase.square_footprint(2, value)
+
     def test_explicit_areas(self):
         case = GeometryCase(u_int=0.003, u_ext=0.0015, a_int=30.0, a_ext=30.0)
         assert geometry_relative_error(case) == pytest.approx(2.0, rel=1e-12)

@@ -187,7 +187,7 @@ class TestTrackingPower:
         t_set, t_out = 21.0, 3.0
         temps = np.full((k + 1, 2), t_set)
         integrals = np.full((k, 2), t_set * 0.25)
-        gains = np.tile(two_zone_network.outdoor_couplings * (t_set - t_out), (k, 1))
+        gains = np.tile(two_zone_network.conductances_kw_per_c[1:, 0] * (t_set - t_out), (k, 1))
         q = tracking_power(two_zone_network, temps, integrals, gains, np.full(k, t_out), 0.25)
         assert np.abs(q).max() < 1e-12
 
@@ -314,7 +314,7 @@ class TestEnergyBalance:
             for traj in (base, exp):
                 supplied = (traj.powers_kw + traj.gains_kw).sum() * grid.dt_h
                 lost = float(
-                    (net.outdoor_couplings * (traj.temp_integrals_c_h - np.outer(traj.outdoor_c * grid.dt_h, np.ones(n)))).sum()
+                    (net.conductances_kw_per_c[1:, 0] * (traj.temp_integrals_c_h - np.outer(traj.outdoor_c * grid.dt_h, np.ones(n)))).sum()
                 )
                 stored = float((net.capacitances_kwh_per_c * (traj.temps_c[-1] - traj.temps_c[0])).sum())
                 assert supplied - lost == pytest.approx(stored, abs=1e-8)
