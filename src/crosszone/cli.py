@@ -62,8 +62,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _f(v: float) -> str:
-    return _FLOAT_FMT % v
+def _layout(n: int) -> tuple[list[str], dict[str, int | slice]]:
+    """Header of an n-zone trajectory CSV, and where each of its blocks sits in a row."""
+    header, where = [], {}
+    for key, label in (
+        ("step", "step"), ("time_h", "time_h"), ("temps", "T_{}_c"), ("powers", "q_{}_kw"),
+        ("gains", "w_{}_kw"), ("outdoor", "t0_c"), ("price", "price_usd_per_kwh_thermal"),
+    ):
+        where[key] = slice(len(header), len(header) + n) if "{}" in label else len(header)
+        header += [label.format(i) for i in range(1, n + 1)] if "{}" in label else [label]
+    return header, where
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, price: np.ndarray) -> None:
@@ -73,26 +81,21 @@ def write_trajectory_csv(path: str, traj: Trajectory, price: np.ndarray) -> None
     and thermal price, plus a final row carrying only the last temperature
     samples.
     """
-    n = traj.n
     k = traj.grid.steps
-    header = (
-        ["step", "time_h"]
-        + [f"T_{i}_c" for i in range(1, n + 1)]
-        + [f"q_{i}_kw" for i in range(1, n + 1)]
-        + [f"w_{i}_kw" for i in range(1, n + 1)]
-        + ["t0_c", "price_usd_per_kwh_thermal"]
-    )
-    lines = [",".join(header)]
-    dt = traj.grid.dt_h
-    for step in range(k):
-        row = [str(step), _f(step * dt)]
-        row += [_f(v) for v in traj.temps_c[step]]
-        row += [_f(v) for v in traj.powers_kw[step]]
-        row += [_f(v) for v in traj.gains_kw[step]]
-        row += [_f(traj.outdoor_c[step]), _f(price[step])]
-        lines.append(",".join(row))
-    final = [str(k), _f(k * dt)] + [_f(v) for v in traj.temps_c[k]] + [""] * (2 * n + 2)
-    lines.append(",".join(final))
+    header, where = _layout(traj.n)
+    steps = np.arange(k + 1)
+    blocks = {
+        "step": steps, "time_h": steps * traj.grid.dt_h, "temps": traj.temps_c, "powers": traj.powers_kw,
+        "gains": traj.gains_kw, "outdoor": traj.outdoor_c, "price": price,
+    }
+    table = np.zeros((k + 1, len(header)))
+    for key, values in blocks.items():
+        table[: len(values), where[key]] = values
+    last = where["temps"].stop
+    row = ",".join([_FLOAT_FMT] * len(header))
+    lines = [",".join(header), *(row % tuple(r.tolist()) for r in table[:k])]
+    final = ",".join([_FLOAT_FMT] * last + [""] * (len(header) - last))
+    lines.append(final % tuple(table[k, :last].tolist()))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -100,60 +103,47 @@ def read_trajectory_csv(path: str) -> dict:
     """Parse a trajectory CSV back into arrays.
 
     Returns a dict with temps (K+1, n), powers/gains (K, n), outdoor and
-    price (K,), dt_h and steps. Every row must carry the header's field
-    count, the final one only its time and temperatures, and every value
-    must be finite; otherwise DataMismatchError names the file and row.
+    price (K,), dt_h and steps. The header must be the documented one,
+    every row must carry its field count, the final one only its time and
+    temperatures, and every value must be finite; otherwise
+    DataMismatchError names the file and row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataMismatchError(f"{path}: empty file")
-        n = sum(1 for h in header if h.startswith("T_") and h.endswith("_c"))
-        expected_cols = 2 + 3 * n + 2
-        if n == 0 or len(header) != expected_cols:
+        n = (len(header) - 4) // 3
+        columns, where = _layout(n)
+        if n < 1 or header != columns:
             raise DataMismatchError(f"{path}: unrecognized header {header}")
         rows = [row for row in reader if row]
     if len(rows) < 2:
         raise DataMismatchError(f"{path}: needs at least one step plus the final sample row")
     k = len(rows) - 1
-    temps = np.empty((k + 1, n))
-    powers = np.empty((k, n))
-    gains = np.empty((k, n))
-    outdoor = np.empty(k)
-    price = np.empty(k)
-    times = np.empty(k + 1)
+    last = where["temps"].stop
+    table = np.zeros((k + 1, len(columns)))
     try:
         for idx, row in enumerate(rows):
-            if len(row) != expected_cols:
-                raise ValueError(f"expected {expected_cols} fields, got {len(row)}")
-            times[idx] = float(row[1])
-            temps[idx] = [float(v) for v in row[2 : 2 + n]]
+            if len(row) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
             if idx < k:
-                powers[idx] = [float(v) for v in row[2 + n : 2 + 2 * n]]
-                gains[idx] = [float(v) for v in row[2 + 2 * n : 2 + 3 * n]]
-                outdoor[idx] = float(row[2 + 3 * n])
-                price[idx] = float(row[3 + 3 * n])
-            elif any(row[2 + n :]):
+                table[idx] = row
+            elif any(row[last:]):
                 raise ValueError("the final row carries only the time and the last temperatures")
+            else:
+                table[idx, :last] = row[:last]
     except ValueError as exc:
         raise DataMismatchError(f"{path}: row {idx + 2}: {exc}") from None
-    finite = np.isfinite(np.column_stack([times, temps])).all(axis=1)
-    finite[:k] &= np.isfinite(np.column_stack([powers, gains, outdoor, price])).all(axis=1)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise DataMismatchError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite value")
+    times = table[:, where["time_h"]]
     dt = float(np.diff(times).mean())
     if not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9):
         raise DataMismatchError(f"{path}: time column is not uniform")
-    return {
-        "temps": temps,
-        "powers": powers,
-        "gains": gains,
-        "outdoor": outdoor,
-        "price": price,
-        "dt_h": dt,
-        "steps": k,
-    }
+    data = {key: table[:k, where[key]] for key in ("powers", "gains", "outdoor", "price")}
+    return {"temps": table[:, where["temps"]], **data, "dt_h": dt, "steps": k}
 
 
 def _reconstruct(cfg: RunConfig, data: dict, experiment: bool) -> Trajectory:
@@ -287,7 +277,7 @@ def _write_geometry_grid(path: str) -> None:
     for walls in range(5):
         for beta in betas:
             e = est.geometry_relative_error(est.GeometryCase.square_footprint(walls, beta))
-            lines.append(f"{walls},{_f(beta)},{'inf' if math.isinf(e) else _f(e)}")
+            lines.append(f"{walls},{_FLOAT_FMT % beta},{'inf' if math.isinf(e) else _FLOAT_FMT % e}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -506,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_geometry(args)
         cfg = load_config(args.config) if args.config else default_config()
         if getattr(args, "seed", None) is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed", f"expected an integer >= 0, got {args.seed}")
             cfg = cfg.with_seed(args.seed)
         if getattr(args, "constant_price", False):
             cfg = dataclasses.replace(cfg, constant_price=True)

@@ -171,6 +171,14 @@ def _number(value, lo: float = -math.inf) -> float:
     return x
 
 
+def _integer(value, lo: int) -> int:
+    """``value`` as an int no less than ``lo``; booleans and fractions are refused."""
+    whole = isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer()
+    if not (whole and value >= lo):
+        raise ValueError(f"expected an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
 def _areas(values, n: int) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.shape != (n,):
@@ -193,14 +201,17 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
                 np.asarray(net["conductances_w_per_c"], dtype=float) / 1000.0,
             )
         )
+    with _fields("zones.controlled"):
+        controlled = tuple(_integer(z, 1) for z in doc["zones"]["controlled"])
     with _fields("zones"):
-        zones = doc["zones"]
-        plan = SetpointPlan(np.asarray(zones["setpoints_c"], dtype=float), tuple(zones["controlled"]))
+        plan = SetpointPlan(np.asarray(doc["zones"]["setpoints_c"], dtype=float), controlled)
     if plan.n != network.n:
         raise ConfigError("zones.setpoints_c", f"{plan.n} setpoints for {network.n} zones")
+    g = doc["grid"]
+    with _fields("grid.steps"):
+        steps = _integer(g["steps"], 1)
     with _fields("grid"):
-        g = doc["grid"]
-        grid = TimeGrid(dt_h=_number(g["dt_h"]), steps=int(g["steps"]), origin_hour=_number(g["start_hour"]))
+        grid = TimeGrid(dt_h=_number(g["dt_h"]), steps=steps, origin_hour=_number(g["start_hour"]))
     with _fields("tariff"):
         tariff = Tariff(
             tuple(
@@ -213,14 +224,16 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         cop_curve = CopCurve(
             *(_number(c[key]) for key in ("t_low_c", "cop_low", "t_high_c", "cop_high", "cop_floor"))
         )
+    gains = doc["gains"]
+    with _fields("gains.seed"):
+        seed = _integer(gains["seed"], 0)
     with _fields("gains"):
-        gains = doc["gains"]
         gain_spec = GainSpec(
             window_to_wall=_number(gains["window_to_wall"]),
             solar_mean_target_kw_per_m2=_number(gains["solar_mean_kw_per_m2"]),
             internal_density_kw_per_m2=_number(gains["internal_kw_per_m2"]),
             noise_fraction=_number(gains["noise_fraction"]),
-            seed=int(gains["seed"]),
+            seed=seed,
         )
     with _fields("areas.exterior_wall_m2"):
         ext = _areas(doc["areas"]["exterior_wall_m2"], network.n)

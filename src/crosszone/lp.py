@@ -458,46 +458,34 @@ def build_control_lp(
     n_temp = mz * (k + 1)
     n_vars = n_temp + mz * k
 
-    def t_var(pos: int, step: int) -> int:
+    def t_var(pos, step):
         return pos * (k + 1) + step
 
-    def q_var(pos: int, step: int) -> int:
+    def q_var(pos, step):
         return n_temp + pos * k + step
 
     n_rows = mz * k + 2 * mz
     a_eq = np.zeros((n_rows, n_vars))
     b_eq = np.zeros(n_rows)
-    for step in range(k):
-        for pos in range(mz):
-            row = step * mz + pos
-            a_eq[row, t_var(pos, step + 1)] = 1.0
-            for pos2 in range(mz):
-                a_eq[row, t_var(pos2, step)] -= sub.phi[pos, pos2]
-                a_eq[row, q_var(pos2, step)] -= sub.gamma_q[pos, pos2]
-            b_eq[row] = affine[step, pos]
-    for pos in range(mz):
-        row = mz * k + 2 * pos
-        a_eq[row, t_var(pos, 0)] = 1.0
-        b_eq[row] = plan.setpoints_c[ctrl[pos] - 1]
-        a_eq[row + 1, t_var(pos, k)] = 1.0
-        b_eq[row + 1] = plan.setpoints_c[ctrl[pos] - 1]
+    # Row step * mz + pos: T_pos(step + 1) - phi[pos] . T(step) - gamma_q[pos] . q(step) = affine[step, pos].
+    zones = np.arange(mz)
+    step, pos, pos2 = np.ix_(np.arange(k), zones, zones)
+    row = step * mz + pos
+    a_eq[row, t_var(pos, step + 1)] = 1.0
+    a_eq[row, t_var(pos2, step)] -= sub.phi
+    a_eq[row, q_var(pos2, step)] -= sub.gamma_q
+    b_eq[: mz * k] = affine.ravel()
+    ends = mz * k + 2 * zones
+    a_eq[ends, t_var(zones, 0)] = 1.0
+    a_eq[ends + 1, t_var(zones, k)] = 1.0
+    sp = plan.setpoints_c[cidx]
+    b_eq[mz * k :] = np.repeat(sp, 2)
 
-    c = np.zeros(n_vars)
-    lower = np.empty(n_vars)
-    upper = np.empty(n_vars)
+    band = comfort.delta_c[np.minimum(np.arange(k + 1), k - 1)]
+    c = np.concatenate([np.zeros(n_temp), np.tile(grid.dt_h * a_step, mz)])
+    lower = np.concatenate([(sp[:, None] - band).ravel(), np.full(mz * k, q_min_kw, dtype=float)])
+    upper = np.concatenate([(sp[:, None] + band).ravel(), np.full(mz * k, q_max_kw, dtype=float)])
     names = []
-    for pos, zone in enumerate(ctrl):
-        sp = plan.setpoints_c[zone - 1]
-        for step in range(k + 1):
-            band = comfort.delta_c[min(step, k - 1)]
-            lower[t_var(pos, step)] = sp - band
-            upper[t_var(pos, step)] = sp + band
-    for pos in range(mz):
-        for step in range(k):
-            jv = q_var(pos, step)
-            c[jv] = grid.dt_h * a_step[step]
-            lower[jv] = q_min_kw
-            upper[jv] = q_max_kw
     for zone in ctrl:
         names.extend(f"T{zone}[{step}]" for step in range(k + 1))
     for zone in ctrl:

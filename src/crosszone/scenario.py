@@ -393,8 +393,9 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
 
     Expected header: ``timestamp,outdoor_temp_c,ghi_w_per_m2`` with
     ISO-8601 timestamps, strictly increasing. Row 0 is aligned with grid
-    time 0; each source value holds until the next row (zero-order hold),
-    so coarser sources are repeated and finer ones subsampled.
+    time 0, so its clock hour must be the grid's ``origin_hour``; each
+    source value holds until the next row (zero-order hold), so coarser
+    sources are repeated and finer ones subsampled.
     """
     times_h: list[float] = []
     temp: list[float] = []
@@ -429,6 +430,9 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
             ghi.append(g)
     if not times_h:
         raise WeatherFormatError(f"{path}: no data rows")
+    hour = start.hour + start.minute / 60.0 + start.second / 3600.0 + start.microsecond / 3.6e9
+    if abs(hour - grid.origin_hour % 24.0) > 1e-9:
+        raise WeatherFormatError(f"{path}: starts at clock hour {hour:g} but grid.start_hour is {grid.origin_hour:g}")
 
     src_t = np.asarray(times_h)
     src_step = src_t[-1] - src_t[-2] if len(src_t) > 1 else grid.dt_h

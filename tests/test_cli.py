@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from crosszone.cli import main, read_trajectory_csv
+from crosszone.cli import main, read_trajectory_csv, write_trajectory_csv
+from crosszone.model import TimeGrid, Trajectory
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -56,6 +57,19 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--out-dir", out) == 0
         data = read_trajectory_csv(str(out / "baseline.csv"))
         assert np.array_equal(data["outdoor"], np.repeat(temps, 4))
+
+    @pytest.mark.parametrize("start_hour, code", [(0.0, 2), (6.0, 0)])
+    def test_weather_clock_hour_must_match_start_hour(self, tmp_path, capsys, start_hour, code):
+        rows = ["timestamp,outdoor_temp_c,ghi_w_per_m2"]
+        rows += [f"2022-12-21T{h:02d}:00:00,-5,0" for h in range(6, 24)]
+        rows += [f"2022-12-22T{h:02d}:00:00,-5,0" for h in range(6)]
+        (tmp_path / "weather.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, grid={"dt_h": 0.25, "steps": 96, "start_hour": start_hour}, weather={"csv": "weather.csv"}
+        )
+        assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path / "out") == code
+        if code:
+            assert "grid.start_hour" in capsys.readouterr().err
 
     def test_invalid_network_exits_two(self, tmp_path, capsys):
         cfg = write_config(
@@ -226,6 +240,7 @@ class TestEstimate:
             ("96,24,21,21,5,,,,,", None, "row 98: the final row carries only"),
             (None, "nan", "row 5: non-finite value"),
             (None, "inf", "row 5: non-finite value"),
+            (None, "x", "row 5: could not convert string to float: 'x'"),
         ],
     )
     def test_malformed_rows_exit_four(self, tmp_path, capsys, final_row, cell, message):
@@ -242,6 +257,19 @@ class TestEstimate:
         assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+
+    def test_swapped_power_and_gain_columns_exit_four(self, tmp_path, capsys):
+        cfg, out = self._produce(tmp_path)
+        path = out / "experiment.csv"
+        lines = []
+        for line in path.read_text().splitlines():
+            f = line.split(",")  # two zones: q at columns 4-5, w at 6-7
+            lines.append(",".join(f[:4] + f[6:8] + f[4:6] + f[8:]))
+        assert lines[0].startswith("step,time_h,T_1_c,T_2_c,w_1_kw,w_2_kw,q_1_kw,q_2_kw,")
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch:") and str(path) in err
 
     def test_reconstruct_matches_experiment_with_two_controlled_zones(self):
         import dataclasses
@@ -271,6 +299,25 @@ class TestEstimate:
         }
         rebuilt = _reconstruct(cfg, data, experiment=True)
         assert np.array_equal(rebuilt.temp_integrals_c_h, exp.temp_integrals_c_h)
+
+
+def test_trajectory_csv_bytes(tmp_path):
+    traj = Trajectory(
+        grid=TimeGrid(0.25, 2),
+        temps_c=[[21.0, 20.5], [1.0 / 3.0, -0.0], [21.0, 1e-20]],
+        powers_kw=[[0.1 + 0.2, 2.0], [123456789012.5, 0.0]],
+        gains_kw=[[0.0, 0.25], [1.5, -2.0]],
+        outdoor_c=[-5.0, -4.75],
+        temp_integrals_c_h=np.zeros((2, 2)),
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(str(path), traj, np.array([0.05, 2.0 / 3.0]))
+    assert path.read_bytes() == (
+        b"step,time_h,T_1_c,T_2_c,q_1_kw,q_2_kw,w_1_kw,w_2_kw,t0_c,price_usd_per_kwh_thermal\n"
+        b"0,0,21,20.5,0.3,2,0,0.25,-5,0.05\n"
+        b"1,0.25,0.333333333333,-0,123456789012,0,1.5,-2,-4.75,0.666666666667\n"
+        b"2,0.5,21,1e-20,,,,,,\n"
+    )
 
 
 class TestReproduceExample:

@@ -95,12 +95,23 @@ class TestSingleSource:
         ({"comfort": {"wide_band_c": math.inf}}, "comfort.wide_band_c"),
         ({"power_limits": {"min_kw": math.nan}}, "power_limits.min_kw"),
         ({"weather": {"synthetic": {"mean_c": math.nan}}}, "weather.synthetic"),
+        ({"grid": {"steps": 96.5}}, "grid.steps"),
+        ({"grid": {"steps": True}}, "grid.steps"),
+        ({"gains": {"seed": 1.5}}, "gains.seed"),
+        ({"gains": {"seed": -1}}, "gains.seed"),
+        ({"zones": {"controlled": [1.7]}}, "zones.controlled"),
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, command, section, fieldname):
     cfg = write_doc(tmp_path, {**GRID, **section})
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"config error: {fieldname}:" in capsys.readouterr().err
+
+
+def test_negative_seed_option_exits_two(tmp_path, capsys):
+    cfg = write_doc(tmp_path, GRID)
+    assert main(["simulate", "--seed", "-1", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: --seed:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
