@@ -10,7 +10,7 @@ thermal price with a built-in LP solver, and reports naive, corrected,
 and true savings side by side.
 """
 
-from .dynamics import DiscreteModel, discretize, simulate, stieltjes_integral, weighted_integral
+from .dynamics import DiscreteModel, discretize, simulate
 from .estimator import (
     GeometryCase,
     SavingsReport,
@@ -22,7 +22,9 @@ from .estimator import (
     overestimation_error,
     per_zone_savings,
     savings_report,
+    stieltjes_integral,
     two_zone_relative_error,
+    weighted_integral,
 )
 from .linalg import matrix_exp
 from .lp import (

@@ -8,7 +8,7 @@ Subcommands:
     geometry            closed-form relative error from wall construction
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible optimization,
-4 data mismatch between trajectory files.
+4 data mismatch between the trajectory files and the config.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import estimator as est
 from .config import ConfigError, RunConfig, default_config, load_config
 from .dynamics import controlled_subsystem, step_integrals
 from .lp import InfeasibleControlError, optimize_controlled_zones
-from .model import CostModel, InvalidNetworkError, Signal, TimeGrid, Trajectory
+from .model import CostModel, InvalidNetworkError, Signal, Trajectory
 from .scenario import (
     WeatherFormatError,
     cop,
@@ -45,7 +45,7 @@ _FLOAT_FMT = "%.12g"
 
 
 class DataMismatchError(ValueError):
-    """Trajectory files disagree on grid, zones, or shared inputs."""
+    """A trajectory file disagrees with the config or with the other file."""
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -149,12 +149,12 @@ def read_trajectory_csv(path: str) -> dict:
 def _reconstruct(cfg: RunConfig, data: dict, experiment: bool) -> Trajectory:
     """Rebuild a Trajectory (with exact step integrals) from CSV arrays.
 
-    Held zones are constant inside each step, so their integral is the
-    sample value times dt. Controlled zones in the experiment follow the
-    hold-input dynamics, so their integrals come from the sub-network's
-    integral matrices.
+    The arrays must fit the config's grid and zone count. Held zones are
+    constant inside each step, so their integral is the sample value times
+    dt. Controlled zones in the experiment follow the hold-input dynamics,
+    so their integrals come from the sub-network's integral matrices.
     """
-    grid = TimeGrid(dt_h=data["dt_h"], steps=data["steps"], origin_hour=cfg.grid.origin_hour)
+    grid = cfg.grid
     temps, powers, gains = data["temps"], data["powers"], data["gains"]
     outdoor = data["outdoor"]
     integrals = temps[:-1] * grid.dt_h
@@ -176,24 +176,7 @@ def _reconstruct(cfg: RunConfig, data: dict, experiment: bool) -> Trajectory:
 
 
 def write_report_json(path: str, report: est.SavingsReport) -> None:
-    doc = {
-        "naive_controlled_usd": report.naive_controlled_usd,
-        "overestimation_error_usd": report.overestimation_error_usd,
-        "corrected_form_a_usd": report.corrected_form_a_usd,
-        "corrected_form_b_usd": report.corrected_form_b_usd,
-        "oracle_true_usd": report.oracle_true_usd,
-        "relative_error": report.relative_error,
-        "per_zone": [
-            {
-                "zone": z.zone,
-                "baseline_cost_usd": z.baseline_cost_usd,
-                "experiment_cost_usd": z.experiment_cost_usd,
-                "savings_usd": z.savings_usd,
-            }
-            for z in report.per_zone
-        ],
-    }
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def format_report_table(report: est.SavingsReport) -> str:
@@ -336,18 +319,16 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 def cmd_estimate(cfg: RunConfig, out_dir: str, baseline_path: str, experiment_path: str) -> int:
     base_data = read_trajectory_csv(baseline_path)
     exp_data = read_trajectory_csv(experiment_path)
-    if base_data["steps"] != exp_data["steps"] or abs(base_data["dt_h"] - exp_data["dt_h"]) > 1e-9:
-        raise DataMismatchError(
-            f"grids differ: {baseline_path} has {base_data['steps']} steps of {base_data['dt_h']} h, "
-            f"{experiment_path} has {exp_data['steps']} steps of {exp_data['dt_h']} h"
-        )
-    if base_data["temps"].shape[1] != exp_data["temps"].shape[1]:
-        raise DataMismatchError("zone counts differ between trajectory files")
+    grid, n = cfg.grid, cfg.network.n
+    for path, data in ((baseline_path, base_data), (experiment_path, exp_data)):
+        zones = data["temps"].shape[1]
+        if data["steps"] != grid.steps or abs(data["dt_h"] - grid.dt_h) > 1e-9 or zones != n:
+            raise DataMismatchError(
+                f"grids differ: {path} has {data['steps']} steps of {data['dt_h']:g} h for {zones} zones, "
+                f"the config has {grid.steps} steps of {grid.dt_h:g} h for {n} zones"
+            )
     if not np.allclose(base_data["price"], exp_data["price"], rtol=0.0, atol=1e-9):
         raise DataMismatchError("thermal price columns differ between trajectory files")
-    n = base_data["temps"].shape[1]
-    if n != cfg.network.n:
-        raise DataMismatchError(f"files have {n} zones, config network has {cfg.network.n}")
     base = _reconstruct(cfg, base_data, experiment=False)
     exp = _reconstruct(cfg, exp_data, experiment=True)
     cost = CostModel.uniform(base_data["price"], n)

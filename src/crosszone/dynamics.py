@@ -35,8 +35,6 @@ __all__ = [
     "controlled_subsystem",
     "simulate",
     "step_integrals",
-    "weighted_integral",
-    "stieltjes_integral",
 ]
 
 
@@ -208,59 +206,3 @@ def simulate(
         temp_integrals_c_h=step_integrals(model, temps, q, w, t0),
     )
 
-
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
-    if not traj_a.same_grid(traj_b):
-        raise ValueError(
-            "trajectories disagree on grid or zone count: "
-            f"({traj_a.grid.steps} steps, {traj_a.n} zones) vs "
-            f"({traj_b.grid.steps} steps, {traj_b.n} zones)"
-        )
-
-
-def weighted_integral(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    price: Signal | np.ndarray,
-    zone: int,
-) -> float:
-    """Exact integral of price(t) * (T_zone^a(t) - T_zone^b(t)) dt.
-
-    The price is piecewise constant per step, so the integral reduces to a
-    price-weighted sum of the trajectories' exact per-step temperature
-    integrals. Units: price-unit * degC * h.
-    """
-    _check_pair(traj_a, traj_b)
-    a = as_values(price, traj_a.grid.steps)
-    diff = traj_a.temp_integrals_c_h[:, zone - 1] - traj_b.temp_integrals_c_h[:, zone - 1]
-    return float(a @ diff)
-
-
-def stieltjes_integral(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    price: Signal | np.ndarray,
-    zone: int,
-    mode: str,
-) -> float:
-    """Stieltjes-type sums pairing a step price with a temperature change.
-
-    With x(k) the sampled difference T_zone^a - T_zone^b:
-
-    * ``"a_dx"``: sum_k a(k) (x(k+1) - x(k)), the exact value of
-      int a dx for piecewise-constant a.
-    * ``"x_da"``: -sum over price breakpoints of (a_after - a_before) x(k),
-      the integral of x against the distributional derivative of a.
-
-    The two agree (summation by parts) whenever x(0) = x(K) = 0.
-    Units: price-unit * degC.
-    """
-    _check_pair(traj_a, traj_b)
-    k = traj_a.grid.steps
-    a = as_values(price, k)
-    x = traj_a.temps_c[:, zone - 1] - traj_b.temps_c[:, zone - 1]
-    if mode == "a_dx":
-        return float(a @ np.diff(x))
-    if mode == "x_da":
-        return float(-(np.diff(a) @ x[1:k]))
-    raise ValueError(f"mode must be 'a_dx' or 'x_da', got {mode!r}")

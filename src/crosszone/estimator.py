@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_pair, stieltjes_integral, weighted_integral
-from .model import CostModel, ThermalNetwork, Trajectory
+from .model import CostModel, Signal, ThermalNetwork, Trajectory, as_values
 from .scenario import SetpointPlan
 
 __all__ = [
@@ -37,6 +36,8 @@ __all__ = [
     "GeometryCase",
     "UncontrolledZonePerturbedError",
     "BoundaryMismatchWarning",
+    "weighted_integral",
+    "stieltjes_integral",
     "per_zone_savings",
     "naive_savings",
     "overestimation_error",
@@ -60,7 +61,10 @@ class UncontrolledZonePerturbedError(ValueError):
 
 
 class BoundaryMismatchWarning(UserWarning):
-    """Controlled-zone temperatures do not return to their start value."""
+    """A controlled zone does not start and end at its baseline temperature.
+
+    Corrected form "b" then misses a boundary term that form "a" includes.
+    """
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,64 @@ class SavingsReport:
     oracle_true_usd: float
     per_zone: tuple[ZoneSavings, ...]
     relative_error: float | None
+
+
+def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
+    grid_a, grid_b = traj_a.grid, traj_b.grid
+    if (grid_a.steps, grid_a.dt_h, traj_a.n) != (grid_b.steps, grid_b.dt_h, traj_b.n):
+        raise ValueError(
+            "trajectories disagree on grid or zone count: "
+            f"({grid_a.steps} steps, {traj_a.n} zones) vs "
+            f"({grid_b.steps} steps, {traj_b.n} zones)"
+        )
+
+
+def weighted_integral(
+    traj_a: Trajectory,
+    traj_b: Trajectory,
+    price: Signal | np.ndarray,
+    zone: int,
+) -> float:
+    """Exact integral of price(t) * (T_zone^a(t) - T_zone^b(t)) dt.
+
+    The price is piecewise constant per step, so the integral reduces to a
+    price-weighted sum of the trajectories' exact per-step temperature
+    integrals. Units: price-unit * degC * h.
+    """
+    _check_pair(traj_a, traj_b)
+    a = as_values(price, traj_a.grid.steps)
+    diff = traj_a.temp_integrals_c_h[:, zone - 1] - traj_b.temp_integrals_c_h[:, zone - 1]
+    return float(a @ diff)
+
+
+def stieltjes_integral(
+    traj_a: Trajectory,
+    traj_b: Trajectory,
+    price: Signal | np.ndarray,
+    zone: int,
+    mode: str,
+) -> float:
+    """Stieltjes-type sums pairing a step price with a temperature change.
+
+    With x(k) the sampled difference T_zone^a - T_zone^b:
+
+    * ``"a_dx"``: sum_k a(k) (x(k+1) - x(k)), the exact value of
+      int a dx for piecewise-constant a.
+    * ``"x_da"``: -sum over price breakpoints of (a_after - a_before) x(k),
+      the integral of x against the distributional derivative of a.
+
+    The two agree (summation by parts) whenever x(0) = x(K) = 0.
+    Units: price-unit * degC.
+    """
+    _check_pair(traj_a, traj_b)
+    k = traj_a.grid.steps
+    a = as_values(price, k)
+    x = traj_a.temps_c[:, zone - 1] - traj_b.temps_c[:, zone - 1]
+    if mode == "a_dx":
+        return float(a @ np.diff(x))
+    if mode == "x_da":
+        return float(-(np.diff(a) @ x[1:k]))
+    raise ValueError(f"mode must be 'a_dx' or 'x_da', got {mode!r}")
 
 
 def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
@@ -168,9 +230,11 @@ def corrected_savings(
 
     and differ in the storage part: form "a" integrates the price against
     dx (capacitance times the a_dx sum), form "b" integrates x against the
-    price's breakpoint jumps (the x_da sum). They agree exactly when each
-    controlled zone starts and ends at its baseline temperature; otherwise
-    a BoundaryMismatchWarning reports the boundary term.
+    price's breakpoint jumps (the x_da sum). Form "a" is exact for any
+    start and end state. Form "b" equals it only when each controlled zone
+    starts and ends at its baseline temperature; otherwise it falls short
+    by the boundary term C_i (a_i(K-1) x_i(K) - a_i(0) x_i(0)), which a
+    BoundaryMismatchWarning reports.
     """
     if form not in ("a", "b"):
         raise ValueError(f"form must be 'a' or 'b', got {form!r}")
@@ -188,17 +252,18 @@ def corrected_savings(
                 total += alpha[i, j] * (
                     own_price_term - weighted_integral(base, exp, cost.zone_price(j), i)
                 )
-        x0 = float(base.temps_c[0, i - 1] - exp.temps_c[0, i - 1])
-        xk = float(base.temps_c[k, i - 1] - exp.temps_c[k, i - 1])
-        if max(abs(x0), abs(xk)) > UNPERTURBED_TOL_C:
-            boundary = a_i[k - 1] * xk - a_i[0] * x0
-            warnings.warn(
-                f"controlled zone {i} does not start and end at its baseline state "
-                f"(x(0)={x0:g}, x(end)={xk:g}); the two corrected forms differ by the "
-                f"boundary term {boundary:g} $",
-                BoundaryMismatchWarning,
-                stacklevel=2,
-            )
+        if form == "b":
+            x0 = float(base.temps_c[0, i - 1] - exp.temps_c[0, i - 1])
+            xk = float(base.temps_c[k, i - 1] - exp.temps_c[k, i - 1])
+            if max(abs(x0), abs(xk)) > UNPERTURBED_TOL_C:
+                boundary = net.capacitance(i) * (a_i[k - 1] * xk - a_i[0] * x0)
+                warnings.warn(
+                    f"controlled zone {i} does not start and end at its baseline state "
+                    f"(x(0)={x0:g}, x(end)={xk:g}); form b misses the boundary term "
+                    f"{boundary:g} $ (form a minus form b)",
+                    BoundaryMismatchWarning,
+                    stacklevel=2,
+                )
         mode = "a_dx" if form == "a" else "x_da"
         total += net.capacitance(i) * stieltjes_integral(base, exp, a_i, i, mode)
     return total

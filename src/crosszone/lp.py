@@ -312,10 +312,9 @@ class _Simplex:
             self.state[j] = self.BASIC
             self.basis[r] = j
 
-            piv = d[r]
-            self.b_inv[r] /= piv
-            others = np.arange(self.m) != r
-            self.b_inv[others] -= np.outer(d[others], self.b_inv[r])
+            row = self.b_inv[r] / d[r]
+            self.b_inv -= np.outer(d, row)
+            self.b_inv[r] = row
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self.refactor()

@@ -215,14 +215,6 @@ class CostModel:
         v = as_values(price)
         return cls(np.tile(v, (n, 1)))
 
-    @property
-    def n(self) -> int:
-        return self.prices_usd_per_kwh.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.prices_usd_per_kwh.shape[1]
-
     def zone_price(self, zone: int) -> np.ndarray:
         return self.prices_usd_per_kwh[zone - 1]
 
@@ -280,10 +272,3 @@ class Trajectory:
 
     def zone_power(self, zone: int) -> np.ndarray:
         return self.powers_kw[:, zone - 1]
-
-    def same_grid(self, other: "Trajectory") -> bool:
-        return (
-            self.grid.steps == other.grid.steps
-            and self.grid.dt_h == other.grid.dt_h
-            and self.n == other.n
-        )

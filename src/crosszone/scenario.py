@@ -260,7 +260,6 @@ def tracking_power(
     gains_kw: np.ndarray,
     outdoor_c: np.ndarray,
     dt_h: float,
-    zones: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Equipment power that realizes a known temperature trajectory.
 
@@ -280,10 +279,9 @@ def tracking_power(
         gains_kw: (K, n) exogenous gains.
         outdoor_c: (K,) outdoor temperature.
         dt_h: step length [h].
-        zones: 1-based zones to return powers for (default: all).
 
     Returns:
-        (K, len(zones)) per-step average powers [kW].
+        (K, n) per-step average powers [kW].
     """
     k, n = temp_integrals_c_h.shape
     if temps_c.shape != (k + 1, n):
@@ -297,10 +295,7 @@ def tracking_power(
         - temp_integrals_c_h @ alpha[1:, 1:].T
         - np.outer(outdoor_c * dt_h, alpha[1:, 0])
     )
-    q = (storage + conduction) / dt_h - gains_kw
-    if zones is None:
-        return q
-    return q[:, np.asarray(zones, dtype=int) - 1]
+    return (storage + conduction) / dt_h - gains_kw
 
 
 def run_baseline(
@@ -371,9 +366,8 @@ def run_experiment(
     powers = np.empty((k, n))
     powers[:, cidx] = q_ctrl
     if unc:
-        powers[:, np.asarray(unc, dtype=int) - 1] = tracking_power(
-            net, temps, integrals, gains, t0, grid.dt_h, zones=unc
-        )
+        uidx = np.asarray(unc, dtype=int) - 1
+        powers[:, uidx] = tracking_power(net, temps, integrals, gains, t0, grid.dt_h)[:, uidx]
     return Trajectory(
         grid=grid,
         temps_c=temps,

@@ -219,6 +219,17 @@ class TestEstimate:
         assert code == 4
         assert "grids differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid", [{"dt_h": 0.5, "steps": 48}, {"dt_h": 0.25, "steps": 48}, {"dt_h": 0.5, "steps": 96}]
+    )
+    def test_files_off_the_config_grid_exit_four(self, tmp_path, capsys, grid):
+        _, out = self._produce(tmp_path)
+        other = write_config(tmp_path, name="other.json", grid=grid)
+        assert run_cli("estimate", "--config", other, "--out-dir", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch: grids differ:")
+        assert f"{out / 'baseline.csv'} has 96 steps of 0.25 h" in err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = run_cli("estimate", "--config", cfg, "--out-dir", tmp_path)

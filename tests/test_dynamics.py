@@ -5,7 +5,8 @@ import pytest
 
 from conftest import euler_simulate, random_network
 
-from crosszone.dynamics import discretize, simulate, stieltjes_integral, weighted_integral
+from crosszone.dynamics import discretize, simulate
+from crosszone.estimator import stieltjes_integral, weighted_integral
 from crosszone.model import ThermalNetwork, TimeGrid, Trajectory
 
 

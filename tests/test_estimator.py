@@ -1,6 +1,8 @@
 """Savings accounting: estimates, identities, and closed forms."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,7 +122,7 @@ class TestCorrectedSavings:
         # With one uniform price the inter-zone price-difference terms drop
         # out; form b reduces to conduction through the exterior wall plus
         # the price-jump storage term.
-        from crosszone.dynamics import stieltjes_integral, weighted_integral
+        from crosszone.estimator import stieltjes_integral, weighted_integral
 
         rng = np.random.default_rng(3)
         grid = TimeGrid(0.25, 48)
@@ -153,8 +155,17 @@ class TestCorrectedSavings:
         plan = SetpointPlan([21.0, 21.0], (1,))
         base, exp = perturbed_pair(rng, two_zone_network, plan, grid, pin_terminal=False)
         cost = CostModel.uniform(np.full(16, 0.05), 2)
-        with pytest.warns(BoundaryMismatchWarning):
-            corrected_savings(base, exp, two_zone_network, cost, plan, "a")
+        with pytest.warns(BoundaryMismatchWarning) as record:
+            form_b = corrected_savings(base, exp, two_zone_network, cost, plan, "b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            form_a = corrected_savings(base, exp, two_zone_network, cost, plan, "a")
+        amount = float(re.search(r"boundary term (\S+) \$", str(record[0].message)).group(1))
+        assert amount == pytest.approx(form_a - form_b, rel=1e-5)
+        assert form_a != pytest.approx(form_b, rel=1e-3)
+        with pytest.warns(BoundaryMismatchWarning) as record:
+            savings_report(base, exp, two_zone_network, cost, plan)
+        assert len(record) == 1
 
     def test_unknown_form_rejected(self, two_zone_network):
         grid, plan, base, exp = cold_snap_pair(two_zone_network)
