@@ -256,6 +256,8 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         q_min = _number(limits["min_kw"])
     with _fields("power_limits.max_kw"):
         q_max = math.inf if limits["max_kw"] is None else _number(limits["max_kw"])
+    if q_min > q_max:
+        raise ConfigError("power_limits.min_kw", f"{q_min:g} exceeds max_kw {q_max:g}")
     constant_price = doc["constant_price"]
     if not isinstance(constant_price, bool):
         raise ConfigError("constant_price", f"must be true or false, got {constant_price!r}")

@@ -5,18 +5,21 @@ zones, this module computes:
 
 * naive savings: the cost change summed over controlled zones only, which
   is what a controlled-zones-only measurement campaign observes;
-* the cross-zone error: the exact amount by which the naive figure
-  overstates whole-building savings, driven by heat exchange between
-  controlled and still-tracking zones;
+* the cross-zone error: the cost the uncontrolled zones take on, by which
+  the naive figure overstates whole-building savings;
 * two equivalent corrected whole-building estimates that need only zone
   temperatures, conductances, capacitances, and prices (no metering of a
   counterfactual baseline);
 * the brute-force truth: cost change summed over every zone, available in
   simulation and used to cross-check the corrected estimates.
 
-Because trajectories carry exact within-step temperature integrals, the
-identity naive - error = corrected = truth holds to rounding error, not
-just to quadrature accuracy.
+The error and the corrected estimates come from one heat balance per
+zone: with x = T_base - T_exp, zone z saves the price-weighted integral
+of C_z dx_z/dt + (L x)_z, L being the conductance Laplacian. Summed over
+every zone this is exact whether or not the uncontrolled zones hold
+their setpoints. Because trajectories carry exact within-step temperature
+integrals, the identity naive - error = corrected = truth holds to
+rounding error, not just to quadrature accuracy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "ZoneSavings",
     "SavingsReport",
     "GeometryCase",
-    "UncontrolledZonePerturbedError",
     "BoundaryMismatchWarning",
     "weighted_integral",
     "stieltjes_integral",
@@ -48,20 +50,16 @@ __all__ = [
     "geometry_relative_error",
 ]
 
-# Uncontrolled zones must be unperturbed for the error formula to apply.
-UNPERTURBED_TOL_C = 1e-9
+# Form "b" falls short of form "a" when a zone starts or ends further than this from its baseline.
+_BOUNDARY_TOL_C = 1e-9
 
 # Below this scale the true savings are effectively zero and a ratio to
 # them is meaningless.
 _RELATIVE_ERROR_FLOOR_USD = 0.01
 
 
-class UncontrolledZonePerturbedError(ValueError):
-    """An uncontrolled zone's temperature deviates between scenarios."""
-
-
 class BoundaryMismatchWarning(UserWarning):
-    """A controlled zone does not start and end at its baseline temperature.
+    """A zone does not start and end at its baseline temperature.
 
     Corrected form "b" then misses a boundary term that form "a" includes.
     """
@@ -176,14 +174,55 @@ def oracle_true_savings(base: Trajectory, exp: Trajectory, cost: CostModel) -> f
     return sum(per_zone_savings(base, exp, cost, i) for i in range(1, base.n + 1))
 
 
-def _require_unperturbed(base: Trajectory, exp: Trajectory, plan: SetpointPlan) -> None:
-    for j in plan.uncontrolled:
-        dev = float(np.abs(base.temps_c[:, j - 1] - exp.temps_c[:, j - 1]).max())
-        if dev > UNPERTURBED_TOL_C:
-            raise UncontrolledZonePerturbedError(
-                f"uncontrolled zone {j} deviates by {dev:g} degC between scenarios; "
-                "the cross-zone accounting assumes it is pinned"
-            )
+def _zone_savings(
+    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, form: str
+) -> np.ndarray:
+    """Each zone's savings [$] from its heat balance, as an (n,) vector.
+
+    Zone z saves the price-weighted integral of C_z dx_z/dt + (L x)_z, L
+    being the conductance Laplacian with the outdoor conductance on its
+    diagonal: conduction from the exact step integrals of x, storage from
+    the a_dx sum (form "a") or the x_da sum (form "b").
+    """
+    if form not in ("a", "b"):
+        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
+    _check_pair(base, exp)
+    alpha = net.conductances_kw_per_c
+    laplacian = np.diag(alpha[1:].sum(axis=1)) - alpha[1:, 1:]
+    a = cost.prices_usd_per_kwh.T
+    if a.shape != base.powers_kw.shape:
+        raise ValueError(f"prices have shape {a.T.shape}, expected {base.powers_kw.T.shape} (zones, steps)")
+    x = base.temps_c - exp.temps_c
+    conduction = (a * ((base.temp_integrals_c_h - exp.temp_integrals_c_h) @ laplacian)).sum(axis=0)
+    if form == "a":
+        storage = (a * np.diff(x, axis=0)).sum(axis=0)
+    else:
+        storage = -(np.diff(a, axis=0) * x[1:-1]).sum(axis=0)
+    return conduction + net.capacitances_kwh_per_c * storage
+
+
+def _warn_off_baseline(base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel) -> None:
+    """Warn, at the caller's caller, about zones that make form "b" fall short."""
+    x = base.temps_c[[0, -1]] - exp.temps_c[[0, -1]]
+    off = np.nonzero(np.abs(x).max(axis=0) > _BOUNDARY_TOL_C)[0]
+    if off.size:
+        a = cost.prices_usd_per_kwh
+        boundary = net.capacitances_kwh_per_c[off] * (a[off, -1] * x[1, off] - a[off, 0] * x[0, off])
+        zones = "; ".join(
+            f"zone {z + 1} does not start and end at its baseline state "
+            f"(x(0)={x[0, z]:g}, x(end)={x[1, z]:g})"
+            for z in off
+        )
+        warnings.warn(
+            f"form b misses the boundary term {boundary.sum():g} $ (form a minus form b): {zones}",
+            BoundaryMismatchWarning,
+            stacklevel=3,
+        )
+
+
+def _uncontrolled_cost(zone_savings: np.ndarray, plan: SetpointPlan) -> float:
+    # 0.0 - s rather than -s: with no uncontrolled zone the error is 0.0, not -0.0.
+    return 0.0 - float(zone_savings[np.asarray(plan.uncontrolled, dtype=int) - 1].sum())
 
 
 def overestimation_error(
@@ -195,19 +234,10 @@ def overestimation_error(
 ) -> float:
     """Amount by which controlled-zone savings overstate the truth [$].
 
-    Sums, over every controlled/uncontrolled zone pair, the conductance
-    times the neighbour-price-weighted integral of the controlled zone's
-    temperature reduction.
+    The cost the uncontrolled zones take on, from their heat balance; with
+    pinned neighbours, sum_ij alpha_ij int a_j x_i (i controlled, j not).
     """
-    _check_pair(base, exp)
-    _require_unperturbed(base, exp, plan)
-    alpha = net.conductances_kw_per_c
-    total = 0.0
-    for i in plan.controlled:
-        for j in plan.uncontrolled:
-            if alpha[i, j] != 0.0:
-                total += alpha[i, j] * weighted_integral(base, exp, cost.zone_price(j), i)
-    return total
+    return _uncontrolled_cost(_zone_savings(base, exp, net, cost, "a"), plan)
 
 
 def corrected_savings(
@@ -215,58 +245,23 @@ def corrected_savings(
     exp: Trajectory,
     net: ThermalNetwork,
     cost: CostModel,
-    plan: SetpointPlan,
     form: str = "a",
 ) -> float:
-    """Whole-building savings from controlled-zone temperatures alone [$].
+    """Whole-building savings from zone temperatures alone [$].
 
-    Needs only the temperature deviations x_i = T_i - T~_i of the
-    controlled zones, the conductances and capacitances, and the prices;
-    in particular, no metered baseline energy for the uncontrolled zones.
-
-    Both forms share the conduction part
-
-        sum_i int [a_i alpha_i0 + sum_j alpha_ij (a_i - a_j)] x_i dt
-
-    and differ in the storage part: form "a" integrates the price against
-    dx (capacitance times the a_dx sum), form "b" integrates x against the
-    price's breakpoint jumps (the x_da sum). Form "a" is exact for any
-    start and end state. Form "b" equals it only when each controlled zone
-    starts and ends at its baseline temperature; otherwise it falls short
-    by the boundary term C_i (a_i(K-1) x_i(K) - a_i(0) x_i(0)), which a
+    Sums every zone's heat balance: conductances, capacitances, prices and
+    the temperature differences x = T_base - T_exp, with no metered
+    energy. Zones that no one controlled but that moved contribute too, so
+    the neighbours need not be pinned. Form "a" is exact for any start and
+    end state. Form "b" equals it only when every zone starts and ends at
+    its baseline temperature; otherwise it falls short by the boundary term
+    sum_z C_z (a_z(K-1) x_z(K) - a_z(0) x_z(0)), which a
     BoundaryMismatchWarning reports.
     """
-    if form not in ("a", "b"):
-        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
-    _check_pair(base, exp)
-    _require_unperturbed(base, exp, plan)
-    alpha = net.conductances_kw_per_c
-    k = base.grid.steps
-    total = 0.0
-    for i in plan.controlled:
-        a_i = cost.zone_price(i)
-        own_price_term = weighted_integral(base, exp, a_i, i)
-        total += alpha[i, 0] * own_price_term
-        for j in range(1, net.n + 1):
-            if alpha[i, j] != 0.0:
-                total += alpha[i, j] * (
-                    own_price_term - weighted_integral(base, exp, cost.zone_price(j), i)
-                )
-        if form == "b":
-            x0 = float(base.temps_c[0, i - 1] - exp.temps_c[0, i - 1])
-            xk = float(base.temps_c[k, i - 1] - exp.temps_c[k, i - 1])
-            if max(abs(x0), abs(xk)) > UNPERTURBED_TOL_C:
-                boundary = net.capacitance(i) * (a_i[k - 1] * xk - a_i[0] * x0)
-                warnings.warn(
-                    f"controlled zone {i} does not start and end at its baseline state "
-                    f"(x(0)={x0:g}, x(end)={xk:g}); form b misses the boundary term "
-                    f"{boundary:g} $ (form a minus form b)",
-                    BoundaryMismatchWarning,
-                    stacklevel=2,
-                )
-        mode = "a_dx" if form == "a" else "x_da"
-        total += net.capacitance(i) * stieltjes_integral(base, exp, a_i, i, mode)
-    return total
+    savings = _zone_savings(base, exp, net, cost, form)
+    if form == "b":
+        _warn_off_baseline(base, exp, net, cost)
+    return float(savings.sum())
 
 
 def _relative_error(error_usd: float, true_usd: float, naive_usd: float) -> float | None:
@@ -286,25 +281,18 @@ def savings_report(
     dt = base.grid.dt_h
     rows = []
     for i in range(1, base.n + 1):
-        a = cost.zone_price(i)
-        base_cost = float(a @ base.powers_kw[:, i - 1]) * dt
-        exp_cost = float(a @ exp.powers_kw[:, i - 1]) * dt
-        rows.append(
-            ZoneSavings(
-                zone=i,
-                baseline_cost_usd=base_cost,
-                experiment_cost_usd=exp_cost,
-                savings_usd=base_cost - exp_cost,
-            )
-        )
+        base_cost, exp_cost = (float(cost.zone_price(i) @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
+        rows.append(ZoneSavings(i, base_cost, exp_cost, base_cost - exp_cost))
     naive = naive_savings(base, exp, cost, plan)
-    error = overestimation_error(base, exp, net, cost, plan)
+    zone_a = _zone_savings(base, exp, net, cost, "a")
+    error = _uncontrolled_cost(zone_a, plan)
+    _warn_off_baseline(base, exp, net, cost)
     true = oracle_true_savings(base, exp, cost)
     return SavingsReport(
         naive_controlled_usd=naive,
         overestimation_error_usd=error,
-        corrected_form_a_usd=corrected_savings(base, exp, net, cost, plan, "a"),
-        corrected_form_b_usd=corrected_savings(base, exp, net, cost, plan, "b"),
+        corrected_form_a_usd=float(zone_a.sum()),
+        corrected_form_b_usd=float(_zone_savings(base, exp, net, cost, "b").sum()),
         oracle_true_usd=true,
         per_zone=tuple(rows),
         relative_error=_relative_error(error, true, naive),

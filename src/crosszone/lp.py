@@ -503,7 +503,7 @@ class ControlOptimum:
 
 
 class InfeasibleControlError(RuntimeError):
-    """No controlled-zone plan satisfies dynamics, band, and power limits."""
+    """The control LP ended without an optimal plan; ``solution.status`` says why."""
 
     def __init__(self, message: str, solution: LpSolution, window_h: tuple[float, float] | None):
         super().__init__(message)
@@ -544,17 +544,17 @@ def optimize_controlled_zones(
     planned powers reproduces them; this function does not re-simulate.
 
     Raises:
-        InfeasibleControlError: when the LP has no feasible point; carries
-            the certificate and the implicated time window.
+        InfeasibleControlError: when the LP ends without an optimal point
+            (infeasible, unbounded or iteration limit); carries the
+            solution, with any certificate, and the implicated time window.
     """
     prob = build_control_lp(net, plan, grid, price, comfort, gains_kw, outdoor, q_min_kw, q_max_kw)
     sol = solve_lp(prob)
     if sol.status != "optimal":
         window = binding_window_h(sol, grid, plan.m)
+        detail = f": {sol.message}" if sol.message else ""
         raise InfeasibleControlError(
-            f"controlled-zone optimization ended with status {sol.status}: {sol.message}",
-            sol,
-            window,
+            f"controlled-zone optimization ended with status {sol.status}{detail}", sol, window
         )
     k = grid.steps
     mz = plan.m

@@ -459,8 +459,11 @@ def synthetic_weather(
 
     Outdoor temperature follows a diurnal sinusoid (warmest at 15:00)
     plus a Gaussian-shaped dip centered mid-horizon, clamped at
-    ``floor_c``. Irradiance is a sin^2 bump between sunrise and sunset.
+    ``floor_c``. Irradiance is a sin^2 bump between sunrise and sunset,
+    which must come later in the day.
     """
+    if not sunset_h > sunrise_h:
+        raise ValueError(f"sunset_h ({sunset_h:g}) must be later than sunrise_h ({sunrise_h:g})")
     t = grid.step_times_h()
     hod = grid.step_hours_of_day()
     diurnal = mean_c - amplitude_c * np.cos(2.0 * np.pi * (hod - 15.0) / 24.0)

@@ -85,8 +85,8 @@ def test_criterion_1_savings_identity_suite():
         naive = naive_savings(base, exp, cost, plan)
         error = overestimation_error(base, exp, net, cost, plan)
         oracle = oracle_true_savings(base, exp, cost)
-        corr_a = corrected_savings(base, exp, net, cost, plan, "a")
-        corr_b = corrected_savings(base, exp, net, cost, plan, "b")
+        corr_a = corrected_savings(base, exp, net, cost, "a")
+        corr_b = corrected_savings(base, exp, net, cost, "b")
         scale = max(abs(naive), abs(oracle), 0.01)
         dev = max(
             abs(naive - error - oracle), abs(corr_a - oracle), abs(corr_b - oracle)

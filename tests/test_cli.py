@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crosszone.cli import main, read_trajectory_csv, write_trajectory_csv
+from crosszone.lp import LpSolution
 from crosszone.model import TimeGrid, Trajectory
 
 
@@ -126,6 +127,15 @@ class TestOptimize:
         assert run_cli("optimize", "--config", cfg, "--out-dir", tmp_path) == 3
         err = capsys.readouterr().err
         assert "infeasible" in err
+
+    def test_solver_status_named_on_exit_three(self, tmp_path, capsys, monkeypatch):
+        stopped = LpSolution("iteration-limit", None, None, None, None, 7)
+        monkeypatch.setattr("crosszone.lp.solve_lp", lambda prob: stopped)
+        cfg = write_config(tmp_path)
+        assert run_cli("optimize", "--config", cfg, "--out-dir", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("optimization iteration-limit: ")
+        assert not err.splitlines()[0].rstrip().endswith(":")
 
 
 class TestEstimate:

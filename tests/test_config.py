@@ -100,6 +100,9 @@ class TestSingleSource:
         ({"gains": {"seed": 1.5}}, "gains.seed"),
         ({"gains": {"seed": -1}}, "gains.seed"),
         ({"zones": {"controlled": [1.7]}}, "zones.controlled"),
+        ({"power_limits": {"min_kw": 2.0, "max_kw": 1.0}}, "power_limits.min_kw"),
+        ({"weather": {"synthetic": {"sunrise_h": 12, "sunset_h": 8}}}, "weather.synthetic"),
+        ({"weather": {"synthetic": {"sunrise_h": 10, "sunset_h": 10}}}, "weather.synthetic"),
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, command, section, fieldname):

@@ -12,7 +12,6 @@ from conftest import perturbed_pair, piecewise_constant_price, random_cost, rand
 from crosszone.estimator import (
     BoundaryMismatchWarning,
     GeometryCase,
-    UncontrolledZonePerturbedError,
     corrected_savings,
     geometry_relative_error,
     naive_savings,
@@ -103,20 +102,49 @@ class TestOverestimationError:
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
         assert overestimation_error(base, exp, net, cost, plan) == 0.0
 
-    def test_perturbed_uncontrolled_zone_rejected(self, two_zone_network):
-        grid, plan, base, exp = cold_snap_pair(two_zone_network)
-        swapped_plan = SetpointPlan([21.0, 21.0], (2,))  # zone 1 actually moved
-        cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        with pytest.raises(UncontrolledZonePerturbedError, match="zone 1"):
-            overestimation_error(base, exp, two_zone_network, cost, swapped_plan)
+    def test_floating_neighbour_against_oracle(self):
+        # A neighbour that nobody controls but that floats on its baseline
+        # power: the heat balance over every zone still gives the truth.
+        rng = np.random.default_rng(31)
+        for trial in range(24):
+            n = int(rng.integers(4, 7))
+            net = random_network(rng, n)
+            zones = [int(z) for z in rng.permutation(np.arange(1, n + 1))]
+            m = int(rng.integers(1, n - 1))
+            controlled, floating = tuple(sorted(zones[:m])), zones[m]
+            alpha = net.conductances_kw_per_c.copy()
+            alpha[controlled[0], floating] = alpha[floating, controlled[0]] = 0.03
+            net = ThermalNetwork(net.capacitances_kwh_per_c, alpha)
+            k = int(rng.integers(16, 49))
+            grid = TimeGrid(0.25, k)
+            setpoints = rng.uniform(19.0, 22.0, n)
+            plan = SetpointPlan(setpoints, controlled)
+            moved = SetpointPlan(setpoints, tuple(sorted(controlled + (floating,))))
+            weather = WeatherSeries(grid, Signal(rng.uniform(-15.0, 5.0, k)), Signal(np.zeros(k)))
+            gains = rng.uniform(0.0, 0.5, (k, n))
+            base = run_baseline(net, plan, weather, gains, grid)
+            q = base.powers_kw[:, np.asarray(moved.controlled) - 1].copy()
+            for col, zone in enumerate(moved.controlled):
+                if zone != floating:
+                    q[:, col] += rng.uniform(-0.3, 0.1, k)
+            exp = run_experiment(net, moved, weather, gains, grid, q)
+            cost = random_cost(rng, n, k)
+            oracle = oracle_true_savings(base, exp, cost)
+            naive = naive_savings(base, exp, cost, plan)
+            error = overestimation_error(base, exp, net, cost, plan)
+            scale = max(abs(naive), abs(oracle), 1e-3)
+            assert abs(corrected_savings(base, exp, net, cost, "a") - oracle) / scale < 1e-8
+            assert abs(naive - error - oracle) / scale < 1e-8
+            with pytest.warns(BoundaryMismatchWarning, match=f"zone {floating} does not start and end"):
+                corrected_savings(base, exp, net, cost, "b")
 
 
 class TestCorrectedSavings:
     def test_identical_zero_both_forms(self, two_zone_network):
         grid, plan, base, _ = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert corrected_savings(base, base, two_zone_network, cost, plan, "a") == 0.0
-        assert corrected_savings(base, base, two_zone_network, cost, plan, "b") == 0.0
+        assert corrected_savings(base, base, two_zone_network, cost, "a") == 0.0
+        assert corrected_savings(base, base, two_zone_network, cost, "b") == 0.0
 
     def test_uniform_price_reduction_two_zone(self, two_zone_network):
         # With one uniform price the inter-zone price-difference terms drop
@@ -130,7 +158,7 @@ class TestCorrectedSavings:
         base, exp = perturbed_pair(rng, two_zone_network, plan, grid)
         price = piecewise_constant_price(np.random.default_rng(3), grid.steps)
         cost = CostModel.uniform(price, 2)
-        full = corrected_savings(base, exp, two_zone_network, cost, plan, "b")
+        full = corrected_savings(base, exp, two_zone_network, cost, "b")
         reduced = 0.045 * weighted_integral(base, exp, price, 1) + 0.27 * stieltjes_integral(
             base, exp, price, 1, "x_da"
         )
@@ -146,7 +174,7 @@ class TestCorrectedSavings:
         oracle = oracle_true_savings(base, exp, cost)
         scale = max(abs(oracle), 1e-3)
         for form in ("a", "b"):
-            value = corrected_savings(base, exp, net, cost, plan, form)
+            value = corrected_savings(base, exp, net, cost, form)
             assert abs(value - oracle) / scale < 1e-8
 
     def test_boundary_mismatch_warns(self, two_zone_network):
@@ -156,22 +184,31 @@ class TestCorrectedSavings:
         base, exp = perturbed_pair(rng, two_zone_network, plan, grid, pin_terminal=False)
         cost = CostModel.uniform(np.full(16, 0.05), 2)
         with pytest.warns(BoundaryMismatchWarning) as record:
-            form_b = corrected_savings(base, exp, two_zone_network, cost, plan, "b")
+            form_b = corrected_savings(base, exp, two_zone_network, cost, "b")
+        assert record[0].filename == __file__
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            form_a = corrected_savings(base, exp, two_zone_network, cost, plan, "a")
+            form_a = corrected_savings(base, exp, two_zone_network, cost, "a")
         amount = float(re.search(r"boundary term (\S+) \$", str(record[0].message)).group(1))
         assert amount == pytest.approx(form_a - form_b, rel=1e-5)
         assert form_a != pytest.approx(form_b, rel=1e-3)
         with pytest.warns(BoundaryMismatchWarning) as record:
             savings_report(base, exp, two_zone_network, cost, plan)
         assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_price_shape_checked(self, two_zone_network):
+        grid, plan, base, exp = cold_snap_pair(two_zone_network)
+        one_zone = CostModel(np.full((1, grid.steps), 0.05))
+        for form in ("a", "b"):
+            with pytest.raises(ValueError, match="prices have shape"):
+                corrected_savings(base, exp, two_zone_network, one_zone, form)
 
     def test_unknown_form_rejected(self, two_zone_network):
         grid, plan, base, exp = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
         with pytest.raises(ValueError, match="form"):
-            corrected_savings(base, exp, two_zone_network, cost, plan, "c")
+            corrected_savings(base, exp, two_zone_network, cost, "c")
 
 
 class TestAccountingIdentity:
@@ -191,8 +228,8 @@ class TestAccountingIdentity:
             naive = naive_savings(base, exp, cost, plan)
             error = overestimation_error(base, exp, net, cost, plan)
             oracle = oracle_true_savings(base, exp, cost)
-            ca = corrected_savings(base, exp, net, cost, plan, "a")
-            cb = corrected_savings(base, exp, net, cost, plan, "b")
+            ca = corrected_savings(base, exp, net, cost, "a")
+            cb = corrected_savings(base, exp, net, cost, "b")
             scale = max(abs(naive), abs(oracle), 1e-3)
             assert abs(naive - error - oracle) / scale < 1e-8
             assert abs(ca - oracle) / scale < 1e-8
