@@ -109,16 +109,19 @@ def read_trajectory_csv(path: str) -> dict:
     temperatures, and every value must be finite; otherwise
     DataMismatchError names the file and row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataMismatchError(f"{path}: empty file")
-        n = (len(header) - 4) // 3
-        columns, where = _layout(n)
-        if n < 1 or header != columns:
-            raise DataMismatchError(f"{path}: unrecognized header {header}")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise DataMismatchError(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise DataMismatchError(f"{path}: empty file")
+    n = (len(header) - 4) // 3
+    columns, where = _layout(n)
+    if n < 1 or header != columns:
+        raise DataMismatchError(f"{path}: unrecognized header {header}")
     if len(rows) < 2:
         raise DataMismatchError(f"{path}: needs at least one step plus the final sample row")
     k = len(rows) - 1
@@ -147,24 +150,25 @@ def read_trajectory_csv(path: str) -> dict:
     return {"temps": table[:, where["temps"]], **data, "dt_h": dt, "steps": k}
 
 
-def _reconstruct(cfg: RunConfig, data: dict, experiment: bool) -> Trajectory:
+def _reconstruct(cfg: RunConfig, data: dict) -> Trajectory:
     """Rebuild a Trajectory (with exact step integrals) from CSV arrays.
 
-    The arrays must fit the config's grid and zone count. Held zones are
-    constant inside each step, so their integral is the sample value times
-    dt. Controlled zones in the experiment follow the hold-input dynamics,
-    so their integrals come from the sub-network's integral matrices.
+    The arrays must fit the config's grid and zone count. A zone whose
+    samples all equal its first one is taken to have held that temperature
+    inside every step too, so its integral is the sample value times dt.
+    The other zones ran on their per-step powers: they are integrated
+    together as one sub-network, with the held zones as its boundaries.
     """
     grid = cfg.grid
     temps, powers, gains = data["temps"], data["powers"], data["gains"]
     outdoor = data["outdoor"]
     integrals = temps[:-1] * grid.dt_h
-    if experiment:
-        ctrl = cfg.plan.controlled
-        cidx = np.asarray(ctrl, dtype=int) - 1
-        sub, boundary_kw = controlled_subsystem(cfg.network, grid, ctrl, temps[0])
-        integrals[:, cidx] = step_integrals(
-            sub, temps[:, cidx], powers[:, cidx], gains[:, cidx] + boundary_kw, outdoor
+    moving = tuple(int(j) + 1 for j in np.flatnonzero((temps != temps[0]).any(axis=0)))
+    if moving:
+        idx = np.asarray(moving) - 1
+        sub, boundary_kw = controlled_subsystem(cfg.network, grid, moving, temps[0])
+        integrals[:, idx] = step_integrals(
+            sub, temps[:, idx], powers[:, idx], gains[:, idx] + boundary_kw, outdoor
         )
     return Trajectory(
         grid=grid,
@@ -328,18 +332,14 @@ def cmd_estimate(cfg: RunConfig, out_dir: str, baseline_path: str, experiment_pa
                 f"grids differ: {path} has {data['steps']} steps of {data['dt_h']:g} h for {zones} zones, "
                 f"the config has {grid.steps} steps of {grid.dt_h:g} h for {n} zones"
             )
-    if not np.allclose(base_data["price"], exp_data["price"], rtol=0.0, atol=1e-9):
-        raise DataMismatchError("thermal price columns differ between trajectory files")
-    # _reconstruct rebuilds exact step integrals for the controlled zones only.
-    for j in cfg.plan.uncontrolled:
-        dev = float(np.abs(base_data["temps"][:, j - 1] - exp_data["temps"][:, j - 1]).max())
-        if dev > 1e-9:
-            raise DataMismatchError(
-                f"{experiment_path}: uncontrolled zone {j} deviates from {baseline_path} by {dev:g} degC, "
-                f"but only the config's controlled zones {cfg.plan.controlled} may move"
-            )
-    base = _reconstruct(cfg, base_data, experiment=False)
-    exp = _reconstruct(cfg, exp_data, experiment=True)
+    header, where = _layout(n)
+    for key in ("gains", "outdoor", "price"):
+        off = np.abs(base_data[key] - exp_data[key]).reshape(grid.steps, -1).max(axis=0) > 1e-9
+        if off.any():
+            column = np.atleast_1d(header[where[key]])[np.argmax(off)]
+            raise DataMismatchError(f"column {column} differs between {baseline_path} and {experiment_path}")
+    base = _reconstruct(cfg, base_data)
+    exp = _reconstruct(cfg, exp_data)
     cost = CostModel.uniform(base_data["price"], n)
     report = est.savings_report(base, exp, cfg.network, cost, cfg.plan)
     path = os.path.join(out_dir, "savings_report.json")
@@ -487,7 +487,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "constant_price", False):
             cfg = dataclasses.replace(cfg, constant_price=True)
         out_dir = args.out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out-dir", f"cannot create directory {out_dir}: {exc.strerror}") from None
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, args.svg)
         if args.command == "optimize":
@@ -496,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
             baseline = args.baseline or os.path.join(out_dir, "baseline.csv")
             experiment = args.experiment or os.path.join(out_dir, "experiment.csv")
             for path in (baseline, experiment):
-                if not os.path.exists(path):
+                if not os.path.isfile(path):
                     print(f"config error: trajectory file not found: {path}", file=sys.stderr)
                     return 2
             return cmd_estimate(cfg, out_dir, baseline, experiment)

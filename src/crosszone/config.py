@@ -67,7 +67,7 @@ class RunConfig:
 
     def weather(self) -> WeatherSeries:
         if self.weather_csv is not None:
-            if not os.path.exists(self.weather_csv):
+            if not os.path.isfile(self.weather_csv):
                 raise ConfigError("weather.csv", f"file not found: {self.weather_csv}")
             return load_weather(self.weather_csv, self.grid)
         with _fields("weather.synthetic"):
@@ -127,8 +127,10 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(user, dict):

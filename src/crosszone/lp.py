@@ -205,7 +205,7 @@ class _Simplex:
 
     def __init__(self, prob: LpProblem):
         m, n = prob.n_rows, prob.n_vars
-        self.m, self.n_struct = m, n
+        self.m = m
         x0 = np.where(
             np.isfinite(prob.lower), prob.lower, np.where(np.isfinite(prob.upper), prob.upper, 0.0)
         )

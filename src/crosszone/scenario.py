@@ -395,33 +395,37 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
     temp: list[float] = []
     ghi: list[float] = []
     start: _dt.datetime | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise WeatherFormatError(f"{path}: empty file")
-        expected = ["timestamp", "outdoor_temp_c", "ghi_w_per_m2"]
-        if [h.strip() for h in header] != expected:
-            raise WeatherFormatError(f"{path}: header {header} != {expected}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise WeatherFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                ts = _dt.datetime.fromisoformat(row[0].strip())
-                t_c = float(row[1])
-                g = float(row[2])
-            except ValueError as exc:
-                raise WeatherFormatError(f"{path}: line {lineno}: {exc}") from None
-            if start is None:
-                start = ts
-            t_h = (ts - start).total_seconds() / 3600.0
-            if times_h and t_h <= times_h[-1]:
-                raise WeatherFormatError(f"{path}: line {lineno}: timestamps not strictly increasing")
-            times_h.append(t_h)
-            temp.append(t_c)
-            ghi.append(g)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise WeatherFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise WeatherFormatError(f"{path}: empty file")
+    expected = ["timestamp", "outdoor_temp_c", "ghi_w_per_m2"]
+    if [h.strip() for h in header] != expected:
+        raise WeatherFormatError(f"{path}: header {header} != {expected}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise WeatherFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            ts = _dt.datetime.fromisoformat(row[0].strip())
+            t_c = float(row[1])
+            g = float(row[2])
+        except ValueError as exc:
+            raise WeatherFormatError(f"{path}: line {lineno}: {exc}") from None
+        if start is None:
+            start = ts
+        t_h = (ts - start).total_seconds() / 3600.0
+        if times_h and t_h <= times_h[-1]:
+            raise WeatherFormatError(f"{path}: line {lineno}: timestamps not strictly increasing")
+        times_h.append(t_h)
+        temp.append(t_c)
+        ghi.append(g)
     if not times_h:
         raise WeatherFormatError(f"{path}: no data rows")
     hour = start.hour + start.minute / 60.0 + start.second / 3600.0 + start.microsecond / 3.6e9

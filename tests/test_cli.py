@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crosszone.cli import main, read_trajectory_csv, write_trajectory_csv
+from crosszone.estimator import BoundaryMismatchWarning
 from crosszone.lp import LpSolution
 from crosszone.model import TimeGrid, Trajectory
 
@@ -245,14 +246,88 @@ class TestEstimate:
         code = run_cli("estimate", "--config", cfg, "--out-dir", tmp_path)
         assert code == 2
 
-    def test_controlled_set_differing_from_files_exits_four(self, tmp_path, capsys):
+    def test_controlled_set_differing_from_files_exits_zero(self, tmp_path):
+        # Zone 1 moved in the files; the config names zone 2. The report is
+        # still the truth: only the split into naive savings and error moves.
         _, out = self._produce(tmp_path)
         other = write_config(tmp_path, name="zone2.json", zones={"setpoints_c": [21, 21], "controlled": [2]})
-        code = run_cli("estimate", "--config", other, "--out-dir", out)
-        assert code == 4
+        assert run_cli("estimate", "--config", other, "--out-dir", out) == 0
+        report = json.loads((out / "savings_report.json").read_text())
+        true = report["oracle_true_usd"]
+        assert report["naive_controlled_usd"] - report["overestimation_error_usd"] == pytest.approx(true, rel=1e-8)
+        assert report["corrected_form_a_usd"] == pytest.approx(true, rel=1e-8)
+
+    def test_floating_neighbour_against_oracle(self, tmp_path):
+        # A neighbour that nobody controls floats on its baseline power next
+        # to a controlled zone, and the config lists only the smaller set.
+        from conftest import random_network
+
+        from crosszone.model import Signal, ThermalNetwork, TimeGrid
+        from crosszone.scenario import SetpointPlan, WeatherSeries, run_baseline, run_experiment
+
+        rng = np.random.default_rng(47)
+        for trial in range(12):
+            n = int(rng.integers(4, 7))
+            net = random_network(rng, n)
+            zones = [int(z) for z in rng.permutation(np.arange(1, n + 1))]
+            m = int(rng.integers(1, n - 1))
+            controlled, floating = tuple(sorted(zones[:m])), zones[m]
+            alpha = net.conductances_kw_per_c.copy()
+            alpha[controlled[0], floating] = alpha[floating, controlled[0]] = 0.03
+            net = ThermalNetwork(net.capacitances_kwh_per_c, alpha)
+            k = int(rng.integers(16, 49))
+            grid = TimeGrid(0.25, k)
+            setpoints = rng.uniform(19.0, 22.0, n)
+            plan = SetpointPlan(setpoints, controlled)
+            moved = SetpointPlan(setpoints, tuple(sorted(controlled + (floating,))))
+            weather = WeatherSeries(grid, Signal(rng.uniform(-15.0, 5.0, k)), Signal(np.zeros(k)))
+            gains = rng.uniform(0.0, 0.5, (k, n))
+            base = run_baseline(net, plan, weather, gains, grid)
+            q = base.powers_kw[:, np.asarray(moved.controlled) - 1].copy()
+            for col, zone in enumerate(moved.controlled):
+                if zone != floating:
+                    q[:, col] += rng.uniform(-0.3, 0.1, k)
+            exp = run_experiment(net, moved, weather, gains, grid, q)
+            price = rng.uniform(0.02, 0.12, k)
+            d = tmp_path / f"case{trial}"
+            d.mkdir()
+            write_trajectory_csv(str(d / "baseline.csv"), base, price)
+            write_trajectory_csv(str(d / "experiment.csv"), exp, price)
+            cfg = write_config(
+                d,
+                network={
+                    "capacitances_kwh_per_c": net.capacitances_kwh_per_c.tolist(),
+                    "conductances_w_per_c": (alpha * 1000.0).tolist(),
+                },
+                zones={"setpoints_c": setpoints.tolist(), "controlled": list(controlled)},
+                grid={"dt_h": 0.25, "steps": k},
+                areas={"exterior_wall_m2": [10.0] * n, "floor_m2": [10.0] * n},
+            )
+            with pytest.warns(BoundaryMismatchWarning, match=f"zone {floating} does not start and end"):
+                assert run_cli("estimate", "--config", cfg, "--out-dir", d) == 0
+            report = json.loads((d / "savings_report.json").read_text())
+            files = [read_trajectory_csv(str(d / name)) for name in ("baseline.csv", "experiment.csv")]
+            oracle = float(price @ (files[0]["powers"] - files[1]["powers"]).sum(axis=1)) * 0.25
+            naive = report["naive_controlled_usd"]
+            scale = max(abs(naive), abs(oracle), 1e-3)
+            assert abs(report["corrected_form_a_usd"] - oracle) / scale < 1e-8
+            assert abs(naive - report["overestimation_error_usd"] - oracle) / scale < 1e-8
+
+    @pytest.mark.parametrize(
+        "overrides, column",
+        [
+            ({"gains": {"seed": 2}}, "w_1_kw"),
+            ({"weather": {"synthetic": {"mean_c": -8.0}}}, "t0_c"),
+        ],
+    )
+    def test_input_columns_differing_between_files_exit_four(self, tmp_path, capsys, overrides, column):
+        cfg, out = self._produce(tmp_path)
+        other = write_config(tmp_path, name="other.json", **overrides)
+        assert run_cli("optimize", "--config", other, "--out-dir", out) == 0
+        capsys.readouterr()
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
         err = capsys.readouterr().err
-        assert err.startswith("data mismatch:")
-        assert "uncontrolled zone 1" in err
+        assert err.startswith(f"data mismatch: column {column} differs between {out / 'baseline.csv'}")
 
     @pytest.mark.parametrize(
         "final_row, cell, message",
@@ -318,8 +393,41 @@ class TestEstimate:
             "dt_h": grid.dt_h,
             "steps": grid.steps,
         }
-        rebuilt = _reconstruct(cfg, data, experiment=True)
+        rebuilt = _reconstruct(cfg, data)
         assert np.array_equal(rebuilt.temp_integrals_c_h, exp.temp_integrals_c_h)
+
+
+@pytest.mark.parametrize(
+    "command, target, kind, code",
+    [
+        ("estimate", "--baseline", "dir", 2),
+        ("estimate", "--experiment", "dir", 2),
+        ("simulate", "--config", "dir", 2),
+        ("simulate", "weather.csv", "dir", 2),
+        ("simulate", "--config", "bytes", 2),
+        ("estimate", "--baseline", "bytes", 4),
+        ("simulate", "weather.csv", "bytes", 2),
+        ("simulate", "--out-dir", "bytes", 2),
+    ],
+)
+def test_unreadable_path_exits_naming_it(tmp_path, capsys, command, target, kind, code):
+    # A directory where a file belongs, a file that is not UTF-8 text, or an
+    # output directory that is a file.
+    bad = tmp_path / "bad"
+    if kind == "dir":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe\x00 not UTF-8\n")
+    cfg = write_config(tmp_path, weather={"csv": "bad"}) if target == "weather.csv" else write_config(tmp_path)
+    other = tmp_path / "other.csv"
+    other.write_text("step\n", encoding="utf-8")
+    args = {"--config": cfg, "--out-dir": tmp_path / "out"}
+    if command == "estimate":
+        args.update({"--baseline": other, "--experiment": other})
+    if target.startswith("--"):
+        args[target] = bad
+    assert run_cli(command, *[x for pair in args.items() for x in pair]) == code
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_trajectory_csv_bytes(tmp_path):
