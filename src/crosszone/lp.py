@@ -6,12 +6,14 @@ their sub-network dynamics (equality rows), fixed start and end
 temperatures at the baseline setpoints, nonnegative heating power, and a
 per-step comfort band around the setpoint.
 
-Problems are solved by a self-contained dense revised simplex over bounded
-variables (two phases, explicit basis inverse with periodic
-refactorization). Pricing is most-negative-reduced-cost with an automatic
-switch to Bland's rule after a run of degenerate pivots, so the method is
-deterministic and cannot cycle. Optimality is certified independently of
-the pivot path by recomputing the KKT residuals from (x, y) alone.
+Problems are solved by a self-contained revised simplex over bounded
+variables (two phases). The constraint matrix is kept as sparse columns of
+its nonzeros and the artificial columns are implicit; the basis inverse is
+dense and explicit, refactorized periodically. Pricing is
+most-negative-reduced-cost with an automatic switch to Bland's rule after a
+run of degenerate pivots, so the method is deterministic and cannot cycle.
+Optimality is certified independently of the pivot path by recomputing the
+KKT residuals from (x, y) alone.
 """
 
 from __future__ import annotations
@@ -199,19 +201,26 @@ def kkt_residuals(prob: LpProblem, x: np.ndarray, y: np.ndarray) -> KktResiduals
 
 
 class _Simplex:
-    """Bounded-variable revised simplex over [A | signed artificials]."""
+    """Bounded-variable revised simplex over [A | S], S = diag(sign) the artificials.
+
+    A is held as column-ordered triplets of its nonzeros (``row``, ``col``,
+    ``val``, column pointer ``col_start``); artificial column n + i is
+    ``sign[i] * e_i`` and is never stored. The basis inverse is dense.
+    """
 
     AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, -1
 
     def __init__(self, prob: LpProblem):
         m, n = prob.n_rows, prob.n_vars
-        self.m = m
+        self.m, self.n = m, n
+        self.col, self.row = np.nonzero(prob.a_eq.T)
+        self.val = prob.a_eq[self.row, self.col]
+        self.col_start = np.searchsorted(self.col, np.arange(n + 1))
         x0 = np.where(
             np.isfinite(prob.lower), prob.lower, np.where(np.isfinite(prob.upper), prob.upper, 0.0)
         )
         resid = prob.b_eq - prob.a_eq @ x0
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.a = np.hstack([prob.a_eq, np.diag(sign)])
+        self.sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.b = prob.b_eq
         self.lower = np.concatenate([prob.lower, np.zeros(m)])
         self.upper = np.concatenate([prob.upper, np.full(m, np.inf)])
@@ -224,22 +233,51 @@ class _Simplex:
         )
         self.state[n:] = self.BASIC
         self.basis = np.arange(n, n + m)
-        self.b_inv = np.diag(sign)
+        self.b_inv = np.diag(self.sign)
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.degenerate_run = 0
         self.y = np.zeros(m)
 
+    def _price(self, y: np.ndarray) -> np.ndarray:
+        """[A | S]^T y."""
+        return np.concatenate(
+            [np.bincount(self.col, weights=self.val * y[self.row], minlength=self.n), self.sign * y]
+        )
+
+    def _times(self, v: np.ndarray) -> np.ndarray:
+        """[A | S] v."""
+        return np.bincount(self.row, weights=self.val * v[self.col], minlength=self.m) + self.sign * v[self.n :]
+
+    def _column(self, j: int) -> np.ndarray:
+        """B^-1 times column j of [A | S]."""
+        if j >= self.n:
+            i = j - self.n
+            return self.sign[i] * self.b_inv[:, i]
+        nz = slice(self.col_start[j], self.col_start[j + 1])
+        return self.b_inv[:, self.row[nz]] @ self.val[nz]
+
+    def _basis_matrix(self) -> np.ndarray:
+        """The basic columns of [A | S], assembled from the triplets."""
+        pos = np.full(self.n + self.m, -1)
+        pos[self.basis] = np.arange(self.m)
+        mat = np.zeros((self.m, self.m))
+        basic = pos[self.col] >= 0
+        mat[self.row[basic], pos[self.col[basic]]] = self.val[basic]
+        art = np.nonzero(pos[self.n :] >= 0)[0]
+        mat[art, pos[self.n + art]] = self.sign[art]
+        return mat
+
     def refactor(self) -> None:
-        basis_mat = self.a[:, self.basis]
+        basis_mat = self._basis_matrix()
+        self.b_inv = None  # free the old inverse before the new one is allocated
         self.b_inv = np.linalg.inv(basis_mat)
-        nonbasic = np.setdiff1d(np.arange(self.a.shape[1]), self.basis, assume_unique=False)
-        rhs = self.b - self.a[:, nonbasic] @ self.x[nonbasic]
-        self.x[self.basis] = self.b_inv @ rhs
+        x_nonbasic = self.x.copy()
+        x_nonbasic[self.basis] = 0.0
+        self.x[self.basis] = self.b_inv @ (self.b - self._times(x_nonbasic))
         self.pivots_since_refactor = 0
 
-    def _entering(self, z: np.ndarray, dtol: float, bland: bool) -> int:
-        fixed = self.lower == self.upper
+    def _entering(self, z: np.ndarray, dtol: float, bland: bool, fixed: np.ndarray) -> int:
         viol = np.zeros_like(z)
         sel = (self.state == self.AT_LOWER) & ~fixed
         viol[sel] = np.maximum(-z[sel], 0.0)
@@ -256,14 +294,15 @@ class _Simplex:
 
     def run_phase(self, c_phase: np.ndarray, tol: float, max_iter: int, allow_unbounded: bool) -> str:
         dtol = max(tol, 1e-9) * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
+        fixed = self.lower == self.upper
         while True:
             if self.iterations >= max_iter:
                 return "iteration-limit"
             c_b = c_phase[self.basis]
             self.y = self.b_inv.T @ c_b
-            z = c_phase - self.a.T @ self.y
+            z = c_phase - self._price(self.y)
             bland = self.degenerate_run > _DEGENERATE_RUN_LIMIT
-            j = self._entering(z, dtol, bland)
+            j = self._entering(z, dtol, bland, fixed)
             if j < 0:
                 return "optimal"
             self.iterations += 1
@@ -272,7 +311,7 @@ class _Simplex:
                 sigma = -1.0
             else:
                 sigma = 1.0
-            d = self.b_inv @ self.a[:, j]
+            d = self._column(j)
             step_basic = sigma * d
 
             xb = self.x[self.basis]
@@ -313,7 +352,8 @@ class _Simplex:
             self.basis[r] = j
 
             row = self.b_inv[r] / d[r]
-            self.b_inv -= np.outer(d, row)
+            moved = np.nonzero(d)[0]
+            self.b_inv[moved] -= np.outer(d[moved], row)
             self.b_inv[r] = row
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:

@@ -20,6 +20,7 @@ from crosszone.lp import (
     solve_lp,
 )
 from crosszone.model import Signal, ThermalNetwork, TimeGrid
+from conftest import piecewise_constant_price, random_network
 from crosszone.scenario import SetpointPlan, WeatherSeries, run_baseline, run_experiment
 
 
@@ -115,6 +116,22 @@ class TestSolveLp:
         sup = float(np.where(aty > 0, aty * prob.upper, aty * prob.lower).sum())
         assert float(prob.b_eq @ cert.y) - sup == pytest.approx(cert.gap)
         assert cert.gap > 1e-9
+
+    def test_all_zero_row_consistent_is_optimal(self):
+        prob = LpProblem(c=[1.0, -1.0], a_eq=[[0.0, 0.0]], b_eq=[0.0], lower=[0.0, 0.0], upper=[1.0, 2.0])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        np.testing.assert_array_equal(sol.x, [0.0, 2.0])
+        assert sol.objective == -2.0
+
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    def test_all_zero_row_inconsistent_is_infeasible(self, b):
+        prob = LpProblem(c=[1.0, -1.0], a_eq=[[0.0, 0.0]], b_eq=[b], lower=[0.0, 0.0], upper=[1.0, 2.0])
+        sol = solve_lp(prob)
+        assert sol.status == "infeasible"
+        assert sol.certificate.kind == "rows"
+        assert sol.certificate.gap == 1.0
+        np.testing.assert_array_equal(sol.certificate.y, [b])
 
     def test_unbounded(self):
         prob = LpProblem(c=[-1.0], a_eq=np.zeros((0, 1)), b_eq=[], lower=[0.0], upper=[np.inf])
@@ -235,6 +252,82 @@ class TestSolveLp:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-10)
+
+
+class TestSparseStorage:
+    """The simplex's triplet helpers against dense products with [A | diag(sign)]."""
+
+    @staticmethod
+    def random_simplex(rng, m):
+        n = int(rng.integers(1, 12))
+        a = rng.uniform(-2, 2, (m, n))
+        a[rng.random((m, n)) < 0.5] = 0.0
+        a[rng.random((m, n)) < 0.2] = -0.0
+        lo = rng.uniform(-3, 0, n)
+        prob = LpProblem(c=rng.uniform(-1, 1, n), a_eq=a, b_eq=rng.normal(size=m), lower=lo, upper=lo + 2.0)
+        sim = lp_module._Simplex(prob)
+        full = np.hstack([prob.a_eq, np.diag(sim.sign)])
+        # Swap random structural columns into the basis while it stays nonsingular.
+        for j in rng.permutation(n)[:m]:
+            trial = sim.basis.copy()
+            trial[rng.integers(m)] = j
+            if j not in sim.basis and np.linalg.matrix_rank(full[:, trial]) == m:
+                sim.basis = trial
+        sim.refactor()
+        return sim, full
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_helpers_match_dense_products(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            sim, full = self.random_simplex(rng, m)
+            np.testing.assert_array_equal(sim._basis_matrix(), full[:, sim.basis])
+            y = rng.normal(size=m)
+            np.testing.assert_allclose(sim._price(y), full.T @ y, rtol=0, atol=1e-13)
+            v = rng.normal(size=full.shape[1])
+            np.testing.assert_allclose(sim._times(v), full @ v, rtol=0, atol=1e-13)
+            for j in range(full.shape[1]):
+                np.testing.assert_allclose(sim._column(j), sim.b_inv @ full[:, j], rtol=0, atol=1e-13)
+
+
+def random_control_lp(rng, m, k, dt_h=0.25, zero_band=False):
+    """Control LP on a random 3-6-zone network with equal setpoints.
+
+    The outdoors stays below the setpoint and each zone's gains stay under
+    its outdoor loss, so holding every zone at its setpoint is feasible
+    with nonnegative power.
+    """
+    n = int(rng.integers(max(3, m), 7))
+    net = random_network(rng, n)
+    ctrl = tuple(int(z) for z in rng.choice(np.arange(1, n + 1), size=m, replace=False))
+    plan = SetpointPlan(np.full(n, 21.0), ctrl)
+    outdoor = rng.uniform(-15.0, 0.0, k)
+    gains = rng.uniform(0.0, 0.5, (k, n)) * net.conductances_kw_per_c[1:, 0] * 21.0
+    band = np.zeros(k) if zero_band else rng.uniform(0.5, 2.0, k)
+    price = piecewise_constant_price(rng, k)
+    return build_control_lp(net, plan, TimeGrid(dt_h, k), price, ComfortSchedule(band), gains, outdoor)
+
+
+class TestControlLpAgainstHighs:
+    CASES = [(m, k, 0.25, False) for m in (1, 2, 3) for k in (24, 48, 96)] + [
+        (2, 48, 0.25, True),  # zero band: every temperature fixed, degenerate pivots
+        (2, 24, 4.0, False),  # stiff: 4 h steps
+    ]
+
+    @pytest.mark.parametrize(
+        "case", range(len(CASES)), ids=[f"m{m}-K{k}-dt{dt}" + ("-zero-band" if zb else "") for m, k, dt, zb in CASES]
+    )
+    def test_objective_matches_highs(self, case):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        prob = random_control_lp(np.random.default_rng([7, case]), *self.CASES[case])
+        sol = solve_lp(prob)
+        ref = scipy_opt.linprog(
+            prob.c, A_eq=prob.a_eq, b_eq=prob.b_eq, bounds=list(zip(prob.lower, prob.upper)), method="highs"
+        )
+        assert sol.status == "optimal"
+        assert ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-9 * abs(ref.fun)
+        assert sol.residuals.max() <= 1e-8
 
 
 class TestBuildControlLp:
