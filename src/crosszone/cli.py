@@ -15,11 +15,11 @@ between the trajectory files and the config.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -105,43 +105,68 @@ def read_trajectory_csv(path: str) -> dict:
 
     Returns a dict with temps (K+1, n), powers/gains (K, n), outdoor and
     price (K,), dt_h and steps. The header must be the documented one,
-    every row must carry its field count, the final one only its time and
-    temperatures, and every value must be finite; otherwise
-    DataMismatchError names the file and row.
+    every row must carry its field count, the final one only its step,
+    time and temperatures, the steps must count 0..K, and every value must
+    be finite; otherwise DataMismatchError names the file and the row (its
+    line number in the file, blank lines included). Blank lines are skipped.
+
+    All rows are converted by one ``np.loadtxt`` call: a cell is an ASCII
+    decimal, ``inf`` or ``nan`` as ``float`` reads it, with optional
+    surrounding whitespace.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataMismatchError(f"{path}: not UTF-8 text: {exc}") from None
-    if header is None:
+    if lines == [""]:
         raise DataMismatchError(f"{path}: empty file")
+    header = lines[0].split(",") if lines[0] else []
     n = (len(header) - 4) // 3
     columns, where = _layout(n)
     if n < 1 or header != columns:
         raise DataMismatchError(f"{path}: unrecognized header {header}")
+    rows = [line for line in lines[1:] if line]
     if len(rows) < 2:
         raise DataMismatchError(f"{path}: needs at least one step plus the final sample row")
+
+    def fault(idx: int, message: str) -> DataMismatchError:
+        line = [i for i, text in enumerate(lines, start=1) if text][idx + 1]
+        return DataMismatchError(f"{path}: row {line}: {message}")
+
     k = len(rows) - 1
     last = where["temps"].stop
-    table = np.zeros((k + 1, len(columns)))
+    # Structural faults are found on the raw lines. The rows above the first
+    # one are still converted, so the fault nearest the top is reported.
+    found = None
+    wrong = [i for i, row in enumerate(rows) if row.count(",") != len(columns) - 1]
+    final = rows[k].split(",")
+    if wrong:
+        found = wrong[0], f"expected {len(columns)} fields, got {rows[wrong[0]].count(',') + 1}"
+    elif any(final[last:]):
+        found = k, "the final row carries only the time and the last temperatures"
+    else:
+        rows[k] = ",".join(final[:last] + ["0"] * (len(columns) - last))
+    stop = len(rows) if found is None else found[0]
     try:
-        for idx, row in enumerate(rows):
-            if len(row) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-            if idx < k:
-                table[idx] = row
-            elif any(row[last:]):
-                raise ValueError("the final row carries only the time and the last temperatures")
-            else:
-                table[idx, :last] = row[:last]
+        table = np.loadtxt(rows[:stop], delimiter=",", comments=None, ndmin=2) if stop else None
     except ValueError as exc:
-        raise DataMismatchError(f"{path}: row {idx + 2}: {exc}") from None
+        # numpy names the rejected cell by its 0-based row among the lines
+        # it was given and its 1-based column.
+        at = re.search(r" at row (\d+), column (\d+)\.$", str(exc))
+        if at is None:
+            raise
+        idx = int(at[1])
+        found = idx, f"could not convert string to float: {rows[idx].split(',')[int(at[2]) - 1]!r}"
+    if found is not None:
+        raise fault(*found)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise DataMismatchError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite value")
+        raise fault(int(np.argmin(finite)), "non-finite value")
+    off = table[:, where["step"]] != np.arange(k + 1)
+    if off.any():
+        idx = int(np.argmax(off))
+        raise fault(idx, f"step {table[idx, where['step']]:g} where {idx} was expected")
     times = table[:, where["time_h"]]
     dt = float(np.diff(times).mean())
     if not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,10 +387,10 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
     """Load a weather CSV and hold-resample it onto the grid.
 
     Expected header: ``timestamp,outdoor_temp_c,ghi_w_per_m2`` with
-    ISO-8601 timestamps, strictly increasing. Row 0 is aligned with grid
-    time 0, so its clock hour must be the grid's ``origin_hour``; each
-    source value holds until the next row (zero-order hold), so coarser
-    sources are repeated and finer ones subsampled.
+    ISO-8601 timestamps, strictly increasing, and finite values. Row 0 is
+    aligned with grid time 0, so its clock hour must be the grid's
+    ``origin_hour``; each source value holds until the next row (zero-order
+    hold), so coarser sources are repeated and finer ones subsampled.
     """
     times_h: list[float] = []
     temp: list[float] = []
@@ -418,6 +419,8 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
             g = float(row[2])
         except ValueError as exc:
             raise WeatherFormatError(f"{path}: line {lineno}: {exc}") from None
+        if not (math.isfinite(t_c) and math.isfinite(g)):
+            raise WeatherFormatError(f"{path}: line {lineno}: non-finite value")
         if start is None:
             start = ts
         t_h = (ts - start).total_seconds() / 3600.0

@@ -73,6 +73,18 @@ class TestSimulate:
         if code:
             assert "grid.start_hour" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "reproduce-example"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_weather_value_exits_two(self, tmp_path, capsys, command, value):
+        rows = ["timestamp,outdoor_temp_c,ghi_w_per_m2"]
+        rows += [f"2022-12-21T{h:02d}:00:00,-5,0" for h in range(24)]
+        rows[6] = f"2022-12-21T05:00:00,{value},0"
+        (tmp_path / "weather.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, weather={"csv": "weather.csv"})
+        assert run_cli(command, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {tmp_path / 'weather.csv'}: line 7: non-finite value\n"
+
     def test_invalid_network_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -353,6 +365,39 @@ class TestEstimate:
         assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+
+    def test_rows_are_named_by_line_number_past_blank_lines(self, tmp_path, capsys):
+        cfg, out = self._produce(tmp_path)
+        path = out / "experiment.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[2] = "x"
+        lines[4] = ",".join(fields)
+        lines[2:2] = [""]  # now the bad cell is on line 6
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
+        assert f"{path}: row 6: could not convert string to float: 'x'" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cfg, out = self._produce(tmp_path)
+        path = out / "experiment.csv"
+        before = read_trajectory_csv(str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", ""] + lines[3:] + [""]) + "\n")
+        after = read_trajectory_csv(str(path))
+        for key in ("temps", "powers", "gains", "outdoor", "price"):
+            assert np.array_equal(before[key], after[key]), key
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 0
+
+    @pytest.mark.parametrize("step, message", [("77", "step 77 where 3 was expected"), ("3.5", "step 3.5 where")])
+    def test_step_column_must_count_rows_exit_four(self, tmp_path, capsys, step, message):
+        cfg, out = self._produce(tmp_path)
+        path = out / "baseline.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = step + lines[4][lines[4].index(",") :]
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
+        assert f"data mismatch: {path}: row 5: {message}" in capsys.readouterr().err
 
     def test_swapped_power_and_gain_columns_exit_four(self, tmp_path, capsys):
         cfg, out = self._produce(tmp_path)
