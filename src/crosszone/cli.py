@@ -191,10 +191,8 @@ def _reconstruct(cfg: RunConfig, data: dict) -> Trajectory:
     moving = tuple(int(j) + 1 for j in np.flatnonzero((temps != temps[0]).any(axis=0)))
     if moving:
         idx = np.asarray(moving) - 1
-        sub, boundary_kw = controlled_subsystem(cfg.network, grid, moving, temps[0])
-        integrals[:, idx] = step_integrals(
-            sub, temps[:, idx], powers[:, idx], gains[:, idx] + boundary_kw, outdoor
-        )
+        sub, w_sub = controlled_subsystem(cfg.network, grid, moving, temps[0], gains)
+        integrals[:, idx] = step_integrals(sub, temps[:, idx], powers[:, idx], w_sub, outdoor)
     return Trajectory(
         grid=grid,
         temps_c=temps,

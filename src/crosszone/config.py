@@ -105,7 +105,7 @@ _DEFAULT_DOC = {
     },
     "areas": {"exterior_wall_m2": [30, 90], "floor_m2": [25, 75]},
     "comfort": {"tight_band_c": 1.0, "wide_band_c": 2.0, "tight_hours": [[6, 9], [18, 22]]},
-    "weather": {"synthetic": {}},
+    "weather": {"csv": None, "synthetic": {}},
     "power_limits": {"min_kw": 0.0, "max_kw": None},
     "constant_price": False,
 }
@@ -144,9 +144,14 @@ def load_config(path: str) -> RunConfig:
 
 
 def _merged(base: dict, over: dict, prefix: str) -> dict:
-    """``over`` laid on ``base``: objects merge key by key, anything else replaces."""
+    """``over`` laid on ``base``: objects merge key by key, anything else replaces.
+
+    A key ``base`` lacks is unknown, unless ``base`` is empty (``weather.synthetic``).
+    """
     out = dict(base)
     for key, value in over.items():
+        if base and key not in base:
+            raise ConfigError(prefix + key, "unknown field")
         if isinstance(base.get(key), dict):
             if not isinstance(value, dict):
                 raise ConfigError(prefix + key, f"must be an object, got {value!r}")
@@ -250,7 +255,7 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         windows = tuple((_number(a), _number(b)) for a, b in comfort["tight_hours"])
     weather = doc["weather"]
     with _fields("weather.csv"):
-        weather_csv = weather.get("csv")
+        weather_csv = weather["csv"]
         if weather_csv is not None:
             weather_csv = os.path.join(base_dir, weather_csv)
     limits = doc["power_limits"]

@@ -44,8 +44,9 @@ class DiscreteModel:
 
     The state covers the zones passed to ``discretize``, in that order.
     For a submodel, couplings to omitted zones appear only as extra loss
-    terms on the diagonal; ``controlled_subsystem`` returns the heat
-    inflow ``alpha_ij * T_j`` from omitted zones, which joins the gains w.
+    terms on the diagonal; the heat inflow ``alpha_ij * T_j`` from omitted
+    zones held at fixed temperatures is part of the gain input w, as
+    ``controlled_subsystem`` returns it.
 
     Power q and gains w enter a zone alike and share one input matrix:
         T(k+1) = phi T(k) + gamma_q (q(k) + w(k)) + gamma_0 T0(k)
@@ -127,23 +128,24 @@ def discretize(net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...] | Non
 
 
 def controlled_subsystem(
-    net: ThermalNetwork, grid: TimeGrid, controlled: tuple[int, ...], pinned_c: np.ndarray
+    net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...], pinned_c: np.ndarray, gains_kw: np.ndarray
 ) -> tuple[DiscreteModel, np.ndarray]:
-    """Exact model of the ``controlled`` zones with every other zone pinned.
+    """Exact model of the sub-network of ``zones`` with every other zone pinned.
 
     ``pinned_c`` holds all n zone temperatures [degC]; the entries of the
-    zones outside ``controlled`` are the fixed boundary values. Returns the
-    sub-network's DiscreteModel and the constant heat inflow
-    ``sum_j alpha_ij T_j`` [kW] from the pinned zones into each controlled
-    zone, which enters the model as part of the gain input.
+    zones outside ``zones`` are the fixed boundary values. ``gains_kw``
+    holds the (K, n) exogenous gains of all zones. Returns the
+    sub-network's DiscreteModel and its (K, len(zones)) gain input: each
+    zone's own gains plus the constant heat inflow ``sum_j alpha_ij T_j``
+    [kW] from the pinned zones.
     """
-    sub = discretize(net, grid, zones=controlled)
-    rows = np.asarray(controlled, dtype=int)
+    sub = discretize(net, grid, zones=zones)
+    rows = np.asarray(zones, dtype=int)
     boundary_kw = np.zeros(len(rows))
     for j in range(1, net.n + 1):
-        if j not in controlled:
+        if j not in zones:
             boundary_kw += net.conductances_kw_per_c[rows, j] * pinned_c[j - 1]
-    return sub, boundary_kw
+    return sub, gains_kw[:, rows - 1] + boundary_kw
 
 
 def step_integrals(

@@ -40,6 +40,7 @@ __all__ = [
     "optimize_controlled_zones",
 ]
 
+_KKT_TOL = 1e-8
 _PIVOT_TOL = 1e-10
 _DEGENERATE_RUN_LIMIT = 40
 _REFACTOR_EVERY = 100
@@ -292,8 +293,8 @@ class _Simplex:
             return int(candidates[0])
         return int(candidates[np.argmax(viol[candidates])])
 
-    def run_phase(self, c_phase: np.ndarray, tol: float, max_iter: int, allow_unbounded: bool) -> str:
-        dtol = max(tol, 1e-9) * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
+    def run_phase(self, c_phase: np.ndarray, max_iter: int, allow_unbounded: bool) -> str:
+        dtol = _KKT_TOL * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
         fixed = self.lower == self.upper
         while True:
             if self.iterations >= max_iter:
@@ -362,11 +363,11 @@ class _Simplex:
             self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
 
 
-def _farkas(sim: _Simplex, prob: LpProblem, tol: float) -> FarkasCertificate:
+def _farkas(sim: _Simplex, prob: LpProblem) -> FarkasCertificate:
     """Row-pricing certificate from the optimal feasibility-phase duals."""
     y = sim.y.copy()
     aty = prob.a_eq.T @ y
-    aty[np.abs(aty) <= max(tol, 1e-9) * (1.0 + np.abs(aty).max(initial=0.0))] = 0.0
+    aty[np.abs(aty) <= _KKT_TOL * (1.0 + np.abs(aty).max(initial=0.0))] = 0.0
     upper = np.where(np.isfinite(prob.upper), prob.upper, 0.0)
     lower = np.where(np.isfinite(prob.lower), prob.lower, 0.0)
     sup = float(np.maximum(aty, 0.0) @ upper + np.minimum(aty, 0.0) @ lower)
@@ -379,12 +380,12 @@ def _unfinished(status: str, iterations: int) -> LpSolution:
     return LpSolution(status, None, None, None, None, iterations, message=message)
 
 
-def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) -> LpSolution:
+def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
     """Solve the LP deterministically.
 
     Returns an LpSolution whose status is ``optimal`` only if the KKT
     residuals, recomputed independently of the pivot path, are within
-    ``tol``. Infeasible problems carry a Farkas-type certificate.
+    1e-8. Infeasible problems carry a Farkas-type certificate.
     """
     n, m = prob.n_vars, prob.n_rows
     if max_iter is None:
@@ -406,12 +407,12 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
 
     sim = _Simplex(prob)
     c_phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status = sim.run_phase(c_phase1, tol, max_iter, allow_unbounded=False)
+    status = sim.run_phase(c_phase1, max_iter, allow_unbounded=False)
     if status != "optimal":
         return _unfinished(status, sim.iterations)
     infeas = float(sim.x[n:].sum())
-    if infeas > max(tol, 1e-9) * (1.0 + float(np.abs(prob.b_eq).max(initial=0.0))):
-        cert = _farkas(sim, prob, tol)
+    if infeas > _KKT_TOL * (1.0 + float(np.abs(prob.b_eq).max(initial=0.0))):
+        cert = _farkas(sim, prob)
         return LpSolution(
             status="infeasible",
             x=None,
@@ -427,33 +428,26 @@ def solve_lp(prob: LpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
     sim.upper[n:] = 0.0
     sim.x[n:] = np.maximum(sim.x[n:], 0.0)
     c_phase2 = np.concatenate([prob.c, np.zeros(m)])
-    status = sim.run_phase(c_phase2, tol, max_iter, allow_unbounded=True)
-    if status != "optimal":
-        return _unfinished(status, sim.iterations)
-
-    sim.refactor()
-    x = sim.x[:n].copy()
-    y = sim.b_inv.T @ c_phase2[sim.basis]
-    res = kkt_residuals(prob, x, y)
-    if res.max() > tol:
-        # One clean refactorized re-run of the optimality phase.
-        status = sim.run_phase(c_phase2, tol, max_iter, allow_unbounded=True)
+    # A failed certificate earns one re-run of the optimality phase from
+    # the refactorized basis.
+    for _ in range(2):
+        status = sim.run_phase(c_phase2, max_iter, allow_unbounded=True)
         if status != "optimal":
             return _unfinished(status, sim.iterations)
         sim.refactor()
         x = sim.x[:n].copy()
         y = sim.b_inv.T @ c_phase2[sim.basis]
         res = kkt_residuals(prob, x, y)
-        if res.max() > tol:
-            raise ArithmeticError(f"simplex converged but KKT residuals are {res}")
-    return LpSolution(
-        status="optimal",
-        x=x,
-        y=y,
-        objective=float(prob.c @ x),
-        residuals=res,
-        iterations=sim.iterations,
-    )
+        if res.max() <= _KKT_TOL:
+            return LpSolution(
+                status="optimal",
+                x=x,
+                y=y,
+                objective=float(prob.c @ x),
+                residuals=res,
+                iterations=sim.iterations,
+            )
+    raise ArithmeticError(f"simplex converged but KKT residuals are {res}")
 
 
 def build_control_lp(
@@ -489,10 +483,8 @@ def build_control_lp(
     if gains.shape != (k, plan.n):
         raise ValueError(f"gains shape {gains.shape}, expected {(k, plan.n)}")
 
-    sub, boundary_kw = controlled_subsystem(net, grid, ctrl, plan.setpoints_c)
-    cidx = np.asarray(ctrl, dtype=int) - 1
-    w_eff = gains[:, cidx] + boundary_kw
-    affine = w_eff @ sub.gamma_q.T + np.outer(t0, sub.gamma_0)
+    sub, w_sub = controlled_subsystem(net, grid, ctrl, plan.setpoints_c, gains)
+    affine = w_sub @ sub.gamma_q.T + np.outer(t0, sub.gamma_0)
 
     n_temp = mz * (k + 1)
     n_vars = n_temp + mz * k
@@ -517,7 +509,7 @@ def build_control_lp(
     ends = mz * k + 2 * zones
     a_eq[ends, t_var(zones, 0)] = 1.0
     a_eq[ends + 1, t_var(zones, k)] = 1.0
-    sp = plan.setpoints_c[cidx]
+    sp = plan.setpoints_c[np.asarray(ctrl) - 1]
     b_eq[mz * k :] = np.repeat(sp, 2)
 
     band = comfort.delta_c[np.minimum(np.arange(k + 1), k - 1)]

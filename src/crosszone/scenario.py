@@ -3,7 +3,8 @@
 The baseline holds every zone at its constant setpoint with ideal tracking
 equipment. The experiment hands a subset of zones to an external controller
 (piecewise-constant thermal powers) while the remaining zones keep tracking
-their setpoints against the perturbed neighbours.
+their setpoints against the perturbed neighbours. Both run one scenario
+body; the baseline is the case in which no zone is handed over.
 
 Tracking powers are reported as per-step averages chosen so that the step
 energy, and hence any price-weighted cost integral, is exact: the storage
@@ -307,23 +308,7 @@ def run_baseline(
     grid: TimeGrid,
 ) -> Trajectory:
     """All zones held at their setpoints by ideal tracking equipment."""
-    validate_network(net)
-    k, n = grid.steps, net.n
-    if plan.n != n:
-        raise ValueError(f"plan covers {plan.n} zones, network has {n}")
-    t0 = weather.outdoor.values
-    temps = np.tile(plan.setpoints_c, (k + 1, 1))
-    integrals = np.tile(plan.setpoints_c * grid.dt_h, (k, 1))
-    gains = np.asarray(gains_kw, dtype=float).reshape(k, n)
-    powers = tracking_power(net, temps, integrals, gains, t0, grid.dt_h)
-    return Trajectory(
-        grid=grid,
-        temps_c=temps,
-        powers_kw=powers,
-        gains_kw=gains,
-        outdoor_c=t0,
-        temp_integrals_c_h=integrals,
-    )
+    return _scenario(net, plan, weather, gains_kw, grid, (), np.empty((grid.steps, 0)))
 
 
 def run_experiment(
@@ -346,29 +331,43 @@ def run_experiment(
         controlled_q_kw: (K, m) per-step thermal powers for the controlled
             zones, in ascending zone order.
     """
+    return _scenario(net, plan, weather, gains_kw, grid, plan.controlled, controlled_q_kw)
+
+
+def _scenario(
+    net: ThermalNetwork,
+    plan: SetpointPlan,
+    weather: WeatherSeries,
+    gains_kw: np.ndarray,
+    grid: TimeGrid,
+    driven: tuple[int, ...],
+    driven_q_kw: np.ndarray,
+) -> Trajectory:
+    """The ``driven`` zones run on their (K, len(driven)) powers; every other zone tracks its setpoint."""
     validate_network(net)
     k, n = grid.steps, net.n
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} zones, network has {n}")
-    ctrl = plan.controlled
-    unc = plan.uncontrolled
-    cidx = np.asarray(ctrl, dtype=int) - 1
-    q_ctrl = np.asarray(controlled_q_kw, dtype=float).reshape(k, len(ctrl))
-    gains = np.asarray(gains_kw, dtype=float).reshape(k, n)
+    if weather.grid != grid:
+        raise ValueError(f"weather is on {weather.grid}, the run is on {grid}")
+    gains = np.asarray(gains_kw, dtype=float)
+    if gains.shape != (k, n):
+        raise ValueError(f"gains shape {gains.shape}, expected {(k, n)}")
+    q = np.asarray(driven_q_kw, dtype=float)
+    if q.shape != (k, len(driven)):
+        raise ValueError(f"powers shape {q.shape}, expected {(k, len(driven))}")
     t0 = weather.outdoor.values
-
-    sub, boundary_kw = controlled_subsystem(net, grid, ctrl, plan.setpoints_c)
-    sub_traj = simulate(sub, plan.setpoints_c[cidx], q_ctrl, gains[:, cidx] + boundary_kw, t0)
+    idx = np.asarray(driven, dtype=int) - 1
 
     temps = np.tile(plan.setpoints_c, (k + 1, 1))
-    temps[:, cidx] = sub_traj.temps_c
     integrals = np.tile(plan.setpoints_c * grid.dt_h, (k, 1))
-    integrals[:, cidx] = sub_traj.temp_integrals_c_h
-    powers = np.empty((k, n))
-    powers[:, cidx] = q_ctrl
-    if unc:
-        uidx = np.asarray(unc, dtype=int) - 1
-        powers[:, uidx] = tracking_power(net, temps, integrals, gains, t0, grid.dt_h)[:, uidx]
+    if driven:
+        sub, w_sub = controlled_subsystem(net, grid, driven, plan.setpoints_c, gains)
+        sub_traj = simulate(sub, plan.setpoints_c[idx], q, w_sub, t0)
+        temps[:, idx] = sub_traj.temps_c
+        integrals[:, idx] = sub_traj.temp_integrals_c_h
+    powers = tracking_power(net, temps, integrals, gains, t0, grid.dt_h)
+    powers[:, idx] = q
     return Trajectory(
         grid=grid,
         temps_c=temps,

@@ -113,6 +113,25 @@ class TestSimulate:
         assert "weather.synthetic" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, unknown",
+        [
+            ({"grd": {"steps": 10}}, "grd"),
+            ({"comfort": {"tight_band": 0.5}}, "comfort.tight_band"),
+            ({"weather": {"csv": "weather.csv"}}, None),
+        ],
+    )
+    def test_unknown_config_field_exits_two(self, tmp_path, capsys, overrides, unknown):
+        rows = [f"2022-12-21T{h:02d}:00:00,-5,0\n" for h in range(24)]
+        (tmp_path / "weather.csv").write_text("timestamp,outdoor_temp_c,ghi_w_per_m2\n" + "".join(rows), encoding="utf-8")
+        cfg = write_config(tmp_path, **overrides)
+        code = run_cli("simulate", "--config", cfg, "--out-dir", tmp_path / "out")
+        if unknown is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"config error: {unknown}: unknown field" in capsys.readouterr().err
+
 class TestOptimize:
     def test_zero_band_reproduces_baseline_temperatures(self, tmp_path):
         cfg = write_config(tmp_path, comfort={"tight_band_c": 0.0, "wide_band_c": 0.0})

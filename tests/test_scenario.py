@@ -297,6 +297,31 @@ class TestRunExperiment:
             assert exp.powers_kw[step, 1] * dt == pytest.approx(q2_int, rel=1e-6)
 
 
+class TestRunInputsMustFitTheRun:
+    """Weather, gains and powers off the run's grid or shape are refused, never resampled or reshaped."""
+
+    @pytest.mark.parametrize(
+        "experiment, wrong, message",
+        [
+            (False, "weather", "weather is on"),
+            (True, "weather", "weather is on"),
+            (False, "gains", "gains shape"),
+            (True, "gains", "gains shape"),
+            (True, "powers", "powers shape"),
+        ],
+    )
+    def test_mismatched_input_raises(self, two_zone_network, experiment, wrong, message):
+        k = 48
+        grid = TimeGrid(0.25, k)
+        plan = SetpointPlan([21.0, 21.0], (1, 2))
+        weather = synthetic_weather(TimeGrid(0.5, k) if wrong == "weather" else grid)
+        gains = np.full((2, k) if wrong == "gains" else (k, 2), 0.2)
+        q = np.full((2, k) if wrong == "powers" else (k, 2), 0.5)
+        args = (two_zone_network, plan, weather, gains, grid)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(*args, q) if experiment else run_baseline(*args)
+
+
 class TestEnergyBalance:
     def test_baseline_and_experiment_balance(self):
         rng = np.random.default_rng(31)
