@@ -251,56 +251,54 @@ def _write_inputs_svg(cfg: RunConfig, weather, gains, price, path: str) -> None:
         panels[1].add(t, gains[:, i], label=f"zone {i + 1}")
     panels[3].add(t, cfg.tariff.price_at(cfg.grid.step_hours_of_day()), label="electric")
     panels[3].add(t, price.values, label="thermal", color="#c4279c")
-    render_figure(panels, path, ncols=1)
+    _atomic_write(path, render_figure(panels, ncols=1))
 
 
 def _write_results_svg(cfg: RunConfig, base, exp, price, path: str) -> None:
-    t_samples = cfg.grid.sample_times_h()
     t_steps = cfg.grid.step_times_h()
-    dt = cfg.grid.dt_h
     delta = cfg.comfort().delta_c
+    cost = [np.cumsum(price.values[:, None] * traj.powers_kw * cfg.grid.dt_h, axis=0) for traj in (base, exp)]
     panels = []
-    for zone in range(1, cfg.network.n + 1):
-        p = Panel(f"Zone {zone} temperature", "time [h]", "T [degC]")
-        p.add(t_samples, base.zone_temps(zone), label="baseline")
-        p.add(t_samples, exp.zone_temps(zone), label="experiment", color="#c4279c")
-        if zone in cfg.plan.controlled:
-            sp = cfg.plan.setpoints_c[zone - 1]
-            p.add(t_steps, sp + delta, color="#d73027", dashed=True)
-            p.add(t_steps, sp - delta, color="#d73027", dashed=True)
-        panels.append(p)
-    for zone in range(1, cfg.network.n + 1):
-        p = Panel(f"Zone {zone} thermal power", "time [h]", "q [kW]")
-        p.add(t_steps, base.zone_power(zone), label="baseline")
-        p.add(t_steps, exp.zone_power(zone), label="experiment", color="#c4279c")
-        panels.append(p)
-    for zone in range(1, cfg.network.n + 1):
-        p = Panel(f"Zone {zone} cumulative cost", "time [h]", "[$]")
-        p.add(t_steps, np.cumsum(price.values * base.zone_power(zone) * dt), label="baseline")
-        p.add(t_steps, np.cumsum(price.values * exp.zone_power(zone) * dt), label="experiment", color="#c4279c")
-        panels.append(p)
-    render_figure(panels, path, ncols=cfg.network.n)
+    for title, unit, t, b, e in (
+        ("temperature", "T [degC]", cfg.grid.sample_times_h(), base.temps_c, exp.temps_c),
+        ("thermal power", "q [kW]", t_steps, base.powers_kw, exp.powers_kw),
+        ("cumulative cost", "[$]", t_steps, *cost),
+    ):
+        for zone in range(1, cfg.network.n + 1):
+            p = Panel(f"Zone {zone} {title}", "time [h]", unit)
+            p.add(t, b[:, zone - 1], label="baseline")
+            p.add(t, e[:, zone - 1], label="experiment", color="#c4279c")
+            if title == "temperature" and zone in cfg.plan.controlled:
+                sp = cfg.plan.setpoints_c[zone - 1]
+                p.add(t_steps, sp + delta, color="#d73027", dashed=True)
+                p.add(t_steps, sp - delta, color="#d73027", dashed=True)
+            panels.append(p)
+    _atomic_write(path, render_figure(panels, ncols=cfg.network.n))
 
 
-def _write_geometry_grid(path: str) -> None:
-    lines = ["exterior_walls,insulation_ratio,relative_error"]
+def _write_geometry(out_dir: str, svg: bool) -> None:
+    """The closed-form error over 0-4 exterior walls x insulation ratio: the CSV table, and its chart."""
     betas = [0.25 * i for i in range(1, 17)]
-    for walls in range(5):
-        for beta in betas:
-            e = est.geometry_relative_error(est.GeometryCase.square_footprint(walls, beta))
+    errors = [[est.geometry_relative_error(est.GeometryCase.square_footprint(w, b)) for b in betas] for w in range(5)]
+    lines = ["exterior_walls,insulation_ratio,relative_error"]
+    for walls, row in enumerate(errors):
+        for beta, e in zip(betas, row):
             lines.append(f"{walls},{_FLOAT_FMT % beta},{'inf' if math.isinf(e) else _FLOAT_FMT % e}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, "geometry_grid.csv"), "\n".join(lines) + "\n")
+    if svg:
+        panel = Panel("Savings overestimation vs wall construction", "u_int/u_ext", "relative error")
+        for walls in range(1, 5):
+            panel.add(betas, errors[walls], label=f"{walls} exterior wall{'s' if walls > 1 else ''}")
+        _atomic_write(os.path.join(out_dir, "geometry.svg"), render_figure([panel]))
 
 
-def _write_geometry_svg(path: str) -> None:
-    betas = np.linspace(0.25, 4.0, 16)
-    panel = Panel("Savings overestimation vs wall construction", "u_int/u_ext", "relative error")
-    for walls in range(1, 5):
-        errors = [
-            est.geometry_relative_error(est.GeometryCase.square_footprint(walls, b)) for b in betas
-        ]
-        panel.add(betas, errors, label=f"{walls} exterior wall{'s' if walls > 1 else ''}")
-    render_figure([panel], path)
+def _plan(cfg: RunConfig, weather, gains, price):
+    """Optimize the controlled zones, then run the experiment on the optimal powers."""
+    opt = optimize_controlled_zones(
+        cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor,
+        q_min_kw=cfg.q_min_kw, q_max_kw=cfg.q_max_kw,
+    )
+    return opt, run_experiment(cfg.network, cfg.plan, weather, gains, cfg.grid, opt.q_kw)
 
 
 def _cost_summary(traj: Trajectory, price: np.ndarray, dt: float) -> list[float]:
@@ -325,11 +323,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, svg: bool) -> int:
 
 def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     weather, gains, price = _prepare_inputs(cfg)
-    opt = optimize_controlled_zones(
-        cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor,
-        q_min_kw=cfg.q_min_kw, q_max_kw=cfg.q_max_kw,
-    )
-    exp = run_experiment(cfg.network, cfg.plan, weather, gains, cfg.grid, opt.q_kw)
+    opt, exp = _plan(cfg, weather, gains, price)
     path = os.path.join(out_dir, "experiment.csv")
     write_trajectory_csv(path, exp, price.values)
     print(f"optimal controlled-zone cost: ${opt.objective_usd:.6f}")
@@ -385,21 +379,16 @@ def cmd_estimate(cfg: RunConfig, out_dir: str, baseline_path: str, experiment_pa
 def cmd_reproduce_example(cfg: RunConfig, out_dir: str, svg: bool) -> int:
     weather, gains, price = _prepare_inputs(cfg)
     base = run_baseline(cfg.network, cfg.plan, weather, gains, cfg.grid)
-    opt = optimize_controlled_zones(
-        cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor,
-        q_min_kw=cfg.q_min_kw, q_max_kw=cfg.q_max_kw,
-    )
-    exp = run_experiment(cfg.network, cfg.plan, weather, gains, cfg.grid, opt.q_kw)
+    _, exp = _plan(cfg, weather, gains, price)
     write_trajectory_csv(os.path.join(out_dir, "baseline.csv"), base, price.values)
     write_trajectory_csv(os.path.join(out_dir, "experiment.csv"), exp, price.values)
     cost = CostModel.uniform(price, cfg.network.n)
     report = est.savings_report(base, exp, cfg.network, cost, cfg.plan)
     write_report_json(os.path.join(out_dir, "savings_report.json"), report)
-    _write_geometry_grid(os.path.join(out_dir, "geometry_grid.csv"))
+    _write_geometry(out_dir, svg)
     if svg:
         _write_inputs_svg(cfg, weather, gains, price, os.path.join(out_dir, "inputs.svg"))
         _write_results_svg(cfg, base, exp, price, os.path.join(out_dir, "results.svg"))
-        _write_geometry_svg(os.path.join(out_dir, "geometry.svg"))
 
     print(format_report_table(report))
     print()

@@ -24,6 +24,7 @@ from .scenario import (
     Tariff,
     TariffPeriod,
     WeatherSeries,
+    clock_segments,
     load_weather,
     synthetic_weather,
 )
@@ -219,6 +220,10 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         steps = _integer(g["steps"], 1)
     with _fields("grid"):
         grid = TimeGrid(dt_h=_number(g["dt_h"]), steps=steps, origin_hour=_number(g["start_hour"]))
+    for i, entry in enumerate(doc["tariff"] if isinstance(doc["tariff"], list) else []):
+        unknown = [key for key in entry if key not in _DEFAULT_DOC["tariff"][0]] if isinstance(entry, dict) else []
+        if unknown:
+            raise ConfigError(f"tariff[{i}].{unknown[0]}", "unknown field")
     with _fields("tariff"):
         tariff = Tariff(
             tuple(
@@ -253,6 +258,8 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         wide = _number(comfort["wide_band_c"], lo=0.0)
     with _fields("comfort.tight_hours"):
         windows = tuple((_number(a), _number(b)) for a, b in comfort["tight_hours"])
+        for window in windows:
+            clock_segments(*window)
     weather = doc["weather"]
     with _fields("weather.csv"):
         weather_csv = weather["csv"]

@@ -189,8 +189,10 @@ def simulate(
     k = model.grid.steps
     s = model.size
     t0 = as_values(outdoor, k)
-    q = np.asarray(q, dtype=float).reshape(k, s)
-    w = np.asarray(w, dtype=float).reshape(k, s)
+    q = np.asarray(q, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if q.shape != (k, s) or w.shape != (k, s):
+        raise ValueError(f"powers shape {q.shape} and gains shape {w.shape}, expected {(k, s)} for both")
     t_init = np.asarray(t_init, dtype=float).reshape(s)
 
     temps = np.empty((k + 1, s))

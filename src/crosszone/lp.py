@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import controlled_subsystem
 from .model import Signal, ThermalNetwork, TimeGrid, as_values
-from .scenario import SetpointPlan
+from .scenario import SetpointPlan, clock_segments
 
 __all__ = [
     "ComfortSchedule",
@@ -68,15 +68,14 @@ class ComfortSchedule:
     ) -> "ComfortSchedule":
         """Tight band inside the given clock windows, wide band elsewhere.
 
-        Windows are half-open [start, end) clock hours and may wrap
-        midnight.
+        Windows are half-open [start, end) clock hours, read by
+        ``scenario.clock_segments``.
         """
         hod = grid.step_hours_of_day()
         delta = np.full(grid.steps, float(wide_band_c))
         for start, end in tight_windows:
-            s, e = start % 24.0, end % 24.0
-            inside = (hod >= s) & (hod < e) if s < e else (hod >= s) | (hod < e)
-            delta[inside] = float(tight_band_c)
+            for s, e in clock_segments(start, end):
+                delta[(hod >= s) & (hod < e)] = float(tight_band_c)
         return cls(delta)
 
 

@@ -26,6 +26,7 @@ from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values, vali
 
 __all__ = [
     "SetpointPlan",
+    "clock_segments",
     "TariffPeriod",
     "Tariff",
     "CopCurve",
@@ -81,6 +82,18 @@ class SetpointPlan:
         return tuple(i for i in range(1, self.n + 1) if i not in ctrl)
 
 
+def clock_segments(start_hour: float, end_hour: float) -> list[tuple[float, float]]:
+    """The clock window [start_hour % 24, end_hour % 24) as non-wrapping (start, end) hours in [0, 24].
+
+    A window may wrap midnight. An end a nonzero multiple of 24 h after the
+    start is the whole day; an end equal to the start is refused.
+    """
+    if end_hour == start_hour:
+        raise ValueError(f"clock window [{start_hour:g}, {end_hour:g}) is empty")
+    s, e = start_hour % 24.0, end_hour % 24.0
+    return [(s, e)] if s < e else [(a, b) for a, b in ((s, 24.0), (0.0, e)) if a < b]
+
+
 @dataclass(frozen=True)
 class TariffPeriod:
     """Half-open clock window [start_hour, end_hour) at a flat price."""
@@ -102,16 +115,13 @@ class Tariff:
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(self.periods))
-        segments = self._segments()
-        if abs(sum(e - s for s, e, _ in segments) - 24.0) > 1e-9:
-            raise ValueError("tariff periods do not cover 24 hours")
         cursor = 0.0
-        for s, e, _ in segments:
+        for s, e, _ in self._segments():
             if abs(s - cursor) > 1e-9:
                 raise ValueError(f"tariff gap or overlap at hour {cursor}")
             cursor = e
         if abs(cursor - 24.0) > 1e-9:
-            raise ValueError("tariff does not end at hour 24")
+            raise ValueError("tariff periods do not cover 24 hours")
 
     def _segments(self) -> list[tuple[float, float, float]]:
         """Non-wrapping (start, end, price) segments sorted by start."""
@@ -119,17 +129,7 @@ class Tariff:
         for p in self.periods:
             if p.price_usd_per_kwh <= 0:
                 raise ValueError(f"tariff price must be positive, got {p.price_usd_per_kwh}")
-            s = p.start_hour % 24.0
-            length = (p.end_hour - p.start_hour) % 24.0
-            if length == 0.0:
-                if p.end_hour == p.start_hour:
-                    raise ValueError("zero-length tariff period")
-                length = 24.0
-            if s + length <= 24.0:
-                segs.append((s, s + length, p.price_usd_per_kwh))
-            else:
-                segs.append((s, 24.0, p.price_usd_per_kwh))
-                segs.append((0.0, s + length - 24.0, p.price_usd_per_kwh))
+            segs += [(s, e, p.price_usd_per_kwh) for s, e in clock_segments(p.start_hour, p.end_hour)]
         return sorted(segs)
 
     def price_at(self, hour_of_day: np.ndarray | float) -> np.ndarray:

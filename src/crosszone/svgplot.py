@@ -168,8 +168,8 @@ def _render_panel(panel: Panel, ox: float, oy: float, out: list[str]) -> None:
             legend_y += 12
 
 
-def render_figure(panels: list[Panel], path: str, ncols: int = 1) -> None:
-    """Write the panels as one SVG file, laid out in a grid of ncols."""
+def render_figure(panels: list[Panel], ncols: int = 1) -> str:
+    """The panels as one SVG document, laid out in a grid of ncols."""
     nrows = (len(panels) + ncols - 1) // ncols
     width = ncols * _PANEL_W
     height = nrows * _PANEL_H
@@ -184,5 +184,4 @@ def render_figure(panels: list[Panel], path: str, ncols: int = 1) -> None:
         oy = (idx // ncols) * _PANEL_H
         _render_panel(panel, ox, oy, out)
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

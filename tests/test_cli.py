@@ -119,6 +119,7 @@ class TestSimulate:
             ({"grd": {"steps": 10}}, "grd"),
             ({"comfort": {"tight_band": 0.5}}, "comfort.tight_band"),
             ({"weather": {"csv": "weather.csv"}}, None),
+            ({"tariff": [{"start_hour": 0, "end_hour": 24, "price_usd_per_kwh": 0.1, "pricee": 0.2}]}, "tariff[0].pricee"),
         ],
     )
     def test_unknown_config_field_exits_two(self, tmp_path, capsys, overrides, unknown):
@@ -131,6 +132,19 @@ class TestSimulate:
         else:
             assert code == 2
             assert f"config error: {unknown}: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "reproduce-example"])
+    def test_empty_comfort_window_exits_two(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, comfort={"tight_hours": [[6, 9], [6, 6]]})
+        assert run_cli(command, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "config error: comfort.tight_hours: clock window [6, 6) is empty\n"
+
+    def test_svg_inputs_match_reproduce_example(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path / "sim", "--seed", 3, "--svg") == 0
+        assert run_cli("reproduce-example", "--config", cfg, "--out-dir", tmp_path / "rep", "--seed", 3, "--svg") == 0
+        assert (tmp_path / "sim" / "inputs.svg").read_bytes() == (tmp_path / "rep" / "inputs.svg").read_bytes()
+
 
 class TestOptimize:
     def test_zero_band_reproduces_baseline_temperatures(self, tmp_path):
@@ -531,6 +545,17 @@ class TestReproduceExample:
         text = capsys.readouterr().out
         assert "relative error" in text
         assert "Baseline cost" in text
+
+    def test_every_output_is_replaced_atomically(self, tmp_path, monkeypatch):
+        import os
+
+        replaced, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (replaced.append(os.path.basename(dst)), replace(src, dst)))
+        out = tmp_path / "run"
+        assert run_cli("reproduce-example", "--config", write_config(tmp_path), "--out-dir", out, "--svg") == 0
+        files = ["baseline.csv", "experiment.csv", "savings_report.json", "geometry_grid.csv"]
+        assert sorted(replaced) == sorted(files + ["inputs.svg", "results.svg", "geometry.svg"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(replaced)
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

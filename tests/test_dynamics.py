@@ -141,6 +141,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model, [20.0, 20.0], np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(7))
 
+    def test_zones_by_steps_inputs_rejected(self, two_zone_network):
+        model = discretize(two_zone_network, TimeGrid(0.25, 8))
+        q = np.zeros((2, 8))
+        q[0] = 1.0
+        for args in ((q, np.zeros((8, 2))), (np.zeros((8, 2)), q)):
+            with pytest.raises(ValueError, match=r"expected \(8, 2\)"):
+                simulate(model, [20.0, 20.0], *args, np.zeros(8))
+
 
 def _fine_quadrature(net, grid, t_init_a, t_init_b, q_a, q_b, price, zone, substeps=10_000):
     """Independent oracle: substep propagation with scipy's expm plus a

@@ -42,6 +42,12 @@ class TestComfortSchedule:
         sched = ComfortSchedule.from_bands(grid, 0.5, 2.0, [(22, 6)])
         assert sched.delta_c[23] == 0.5 and sched.delta_c[3] == 0.5 and sched.delta_c[12] == 2.0
 
+    def test_whole_day_and_empty_windows(self):
+        grid = TimeGrid(0.25, 96)
+        assert np.all(ComfortSchedule.from_bands(grid, 1.0, 2.0, [(6, 30)]).delta_c == 1.0)
+        with pytest.raises(ValueError, match="empty"):
+            ComfortSchedule.from_bands(grid, 1.0, 2.0, [(6, 6)])
+
     def test_rejects_negative_band(self):
         with pytest.raises(ValueError):
             ComfortSchedule(np.array([1.0, -0.5]))

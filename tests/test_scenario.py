@@ -14,6 +14,7 @@ from crosszone.scenario import (
     TariffPeriod,
     WeatherFormatError,
     WeatherSeries,
+    clock_segments,
     cop,
     load_weather,
     run_baseline,
@@ -68,6 +69,28 @@ class TestTariff:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="cover|overlap"):
             Tariff((TariffPeriod(0.0, 13.0, 0.1), TariffPeriod(12.0, 24.0, 0.1)))
+
+    def test_gap_inside_the_day_rejected(self):
+        with pytest.raises(ValueError, match="gap or overlap at hour 6"):
+            Tariff((TariffPeriod(0.0, 6.0, 0.1), TariffPeriod(8.0, 24.0, 0.1)))
+
+    def test_empty_period_rejected(self):
+        with pytest.raises(ValueError, match=r"clock window \[6, 6\) is empty"):
+            Tariff((TariffPeriod(6.0, 6.0, 0.1), TariffPeriod(0.0, 24.0, 0.1)))
+
+    @pytest.mark.parametrize(
+        "start, end, segments",
+        [
+            (6, 9, [(6, 9)]),
+            (22, 6, [(22, 24), (0, 6)]),
+            (18, 24, [(18, 24)]),
+            (-2, 3, [(22, 24), (0, 3)]),
+            (0, 24, [(0, 24)]),
+            (6, 30, [(6, 24), (0, 6)]),
+        ],
+    )
+    def test_clock_segments(self, start, end, segments):
+        assert clock_segments(start, end) == segments
 
     def test_nonpositive_price_rejected(self):
         with pytest.raises(ValueError, match="positive"):
