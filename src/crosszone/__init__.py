@@ -22,9 +22,7 @@ from .estimator import (
     overestimation_error,
     per_zone_savings,
     savings_report,
-    stieltjes_integral,
     two_zone_relative_error,
-    weighted_integral,
 )
 from .linalg import matrix_exp
 from .lp import (
@@ -44,7 +42,6 @@ from .model import (
     ThermalNetwork,
     TimeGrid,
     Trajectory,
-    validate_network,
 )
 from .scenario import (
     CopCurve,
@@ -104,12 +101,9 @@ __all__ = [
     "savings_report",
     "simulate",
     "solve_lp",
-    "stieltjes_integral",
     "synthesize_gains",
     "synthetic_weather",
     "thermal_price",
     "tracking_power",
     "two_zone_relative_error",
-    "validate_network",
-    "weighted_integral",
 ]

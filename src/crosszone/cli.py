@@ -29,7 +29,7 @@ from . import estimator as est
 from .config import ConfigError, RunConfig, default_config, load_config
 from .dynamics import controlled_subsystem, step_integrals
 from .lp import InfeasibleControlError, optimize_controlled_zones
-from .model import CostModel, InvalidNetworkError, Signal, Trajectory
+from .model import CostModel, Signal, Trajectory
 from .scenario import (
     WeatherFormatError,
     cop,
@@ -518,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce-example":
             return cmd_reproduce_example(cfg, out_dir, args.svg)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, InvalidNetworkError, WeatherFormatError, FileNotFoundError) as exc:
+    except (ConfigError, WeatherFormatError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleControlError as exc:

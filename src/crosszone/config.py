@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import ComfortSchedule
-from .model import ThermalNetwork, TimeGrid, validate_network
+from .model import ThermalNetwork, TimeGrid
 from .scenario import (
     CopCurve,
     GainSpec,
@@ -171,8 +171,8 @@ def _fields(fieldname: str):
 
 
 def _number(value, lo: float = -math.inf) -> float:
-    """``value`` as a finite float no less than ``lo``."""
-    x = float(value)
+    """``value`` as a finite float no less than ``lo``; booleans are refused."""
+    x = math.nan if isinstance(value, bool) else float(value)
     if not (math.isfinite(x) and x >= lo):
         bound = f" >= {lo:g}" if lo > -math.inf else ""
         raise ValueError(f"expected a finite number{bound}, got {value!r}")
@@ -203,11 +203,9 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
     """
     with _fields("network"):
         net = doc["network"]
-        network = validate_network(
-            ThermalNetwork(
-                np.asarray(net["capacitances_kwh_per_c"], dtype=float),
-                np.asarray(net["conductances_w_per_c"], dtype=float) / 1000.0,
-            )
+        network = ThermalNetwork(
+            np.asarray(net["capacitances_kwh_per_c"], dtype=float),
+            np.asarray(net["conductances_w_per_c"], dtype=float) / 1000.0,
         )
     with _fields("zones.controlled"):
         controlled = tuple(_integer(z, 1) for z in doc["zones"]["controlled"])

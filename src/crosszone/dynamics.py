@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import matrix_exp
-from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values, validate_network
+from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values
 
 __all__ = [
     "DiscreteModel",
@@ -86,7 +86,7 @@ def discretize(net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...] | Non
     """Build the exact one-step model for ``net`` on ``grid``.
 
     Args:
-        net: validated thermal network.
+        net: thermal network.
         grid: simulation grid supplying the step length.
         zones: optional subset of 1-based zone numbers; defaults to all
             zones. With a subset, omitted zones act as boundaries (see
@@ -95,7 +95,6 @@ def discretize(net: ThermalNetwork, grid: TimeGrid, zones: tuple[int, ...] | Non
     Returns:
         DiscreteModel with transition, input, and integral matrices.
     """
-    validate_network(net)
     if zones is None:
         zones = tuple(range(1, net.n + 1))
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostModel, Signal, ThermalNetwork, Trajectory, as_values
+from .model import CostModel, ThermalNetwork, Trajectory
 from .scenario import SetpointPlan
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "SavingsReport",
     "GeometryCase",
     "BoundaryMismatchWarning",
-    "weighted_integral",
-    "stieltjes_integral",
     "per_zone_savings",
     "naive_savings",
     "overestimation_error",
@@ -103,54 +101,6 @@ def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
         )
 
 
-def weighted_integral(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    price: Signal | np.ndarray,
-    zone: int,
-) -> float:
-    """Exact integral of price(t) * (T_zone^a(t) - T_zone^b(t)) dt.
-
-    The price is piecewise constant per step, so the integral reduces to a
-    price-weighted sum of the trajectories' exact per-step temperature
-    integrals. Units: price-unit * degC * h.
-    """
-    _check_pair(traj_a, traj_b)
-    a = as_values(price, traj_a.grid.steps)
-    diff = traj_a.temp_integrals_c_h[:, zone - 1] - traj_b.temp_integrals_c_h[:, zone - 1]
-    return float(a @ diff)
-
-
-def stieltjes_integral(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    price: Signal | np.ndarray,
-    zone: int,
-    mode: str,
-) -> float:
-    """Stieltjes-type sums pairing a step price with a temperature change.
-
-    With x(k) the sampled difference T_zone^a - T_zone^b:
-
-    * ``"a_dx"``: sum_k a(k) (x(k+1) - x(k)), the exact value of
-      int a dx for piecewise-constant a.
-    * ``"x_da"``: -sum over price breakpoints of (a_after - a_before) x(k),
-      the integral of x against the distributional derivative of a.
-
-    The two agree (summation by parts) whenever x(0) = x(K) = 0.
-    Units: price-unit * degC.
-    """
-    _check_pair(traj_a, traj_b)
-    k = traj_a.grid.steps
-    a = as_values(price, k)
-    x = traj_a.temps_c[:, zone - 1] - traj_b.temps_c[:, zone - 1]
-    if mode == "a_dx":
-        return float(a @ np.diff(x))
-    if mode == "x_da":
-        return float(-(np.diff(a) @ x[1:k]))
-    raise ValueError(f"mode must be 'a_dx' or 'x_da', got {mode!r}")
-
-
 def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
     """Cost savings realized in one zone [$].
 
@@ -182,7 +132,8 @@ def _zone_savings(
     Zone z saves the price-weighted integral of C_z dx_z/dt + (L x)_z, L
     being the conductance Laplacian with the outdoor conductance on its
     diagonal: conduction from the exact step integrals of x, storage from
-    the a_dx sum (form "a") or the x_da sum (form "b").
+    sum_k a(k) (x(k+1) - x(k)) (form "a") or its summation by parts
+    without the boundary term, -sum_k (a(k) - a(k-1)) x(k) (form "b").
     """
     if form not in ("a", "b"):
         raise ValueError(f"form must be 'a' or 'b', got {form!r}")
@@ -304,16 +255,13 @@ def two_zone_relative_error(net: ThermalNetwork) -> float:
 
     With constant (or slowly varying) prices the overestimation error over
     the true savings equals the interior-to-exterior conductance ratio of
-    the controlled zone. Infinite when the controlled zone has no direct
-    outdoor coupling: every perceived dollar is then fictitious.
+    the controlled zone, by the rule of ``geometry_relative_error``: zero
+    without interior coupling, infinite without outdoor coupling (every
+    perceived dollar is then fictitious).
     """
     if net.n != 2:
         raise ValueError(f"closed form applies to 2-zone networks, got n={net.n}")
-    a12 = net.conductance(1, 2)
-    a10 = net.conductance(1, 0)
-    if a10 == 0.0:
-        return math.inf
-    return a12 / a10
+    return geometry_relative_error(GeometryCase(net.conductance(1, 2), net.conductance(1, 0), 1.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -472,8 +472,8 @@ def build_control_lp(
     k = grid.steps
     ctrl = plan.controlled
     mz = len(ctrl)
-    if mz == 0:
-        raise ValueError("no controlled zones")
+    if plan.n != net.n:
+        raise ValueError(f"plan covers {plan.n} zones, network has {net.n}")
     a_step = as_values(price, k)
     t0 = as_values(outdoor, k)
     if comfort.delta_c.shape[0] != k:

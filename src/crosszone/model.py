@@ -27,13 +27,12 @@ __all__ = [
     "Signal",
     "CostModel",
     "Trajectory",
-    "validate_network",
     "as_values",
 ]
 
 
 class InvalidNetworkError(ValueError):
-    """Raised when a thermal network violates a structural invariant.
+    """Raised when a ThermalNetwork is constructed violating a structural invariant.
 
     The ``violations`` attribute lists every violated invariant, with the
     offending indices, not just the first one found.
@@ -60,6 +59,9 @@ class ThermalNetwork:
         conductances_kw_per_c: symmetric (n+1)x(n+1) conductance matrix
             [kW/degC]; row/column 0 is the outdoor air node, the diagonal
             is zero.
+
+    Raises:
+        InvalidNetworkError: on construction, listing every violated invariant.
     """
 
     capacitances_kwh_per_c: np.ndarray
@@ -72,21 +74,21 @@ class ThermalNetwork:
         object.__setattr__(
             self, "conductances_kw_per_c", _readonly(np.atleast_2d(self.conductances_kw_per_c))
         )
+        violations = self._violations()
+        if violations:
+            raise InvalidNetworkError(violations)
 
     @property
     def n(self) -> int:
         """Number of zones (outdoor node excluded)."""
         return self.capacitances_kwh_per_c.shape[0]
 
-    def capacitance(self, zone: int) -> float:
-        return float(self.capacitances_kwh_per_c[zone - 1])
-
     def conductance(self, i: int, j: int) -> float:
         """Conductance between nodes i and j (0 = outdoors) [kW/degC]."""
         return float(self.conductances_kw_per_c[i, j])
 
-    def violations(self) -> list[str]:
-        """Return all violated invariants (empty list when valid)."""
+    def _violations(self) -> list[str]:
+        """Every violated invariant (empty list when valid)."""
         out: list[str] = []
         c = self.capacitances_kwh_per_c
         a = self.conductances_kw_per_c
@@ -115,18 +117,6 @@ class ThermalNetwork:
         for i in np.nonzero(np.diag(a) != 0)[0]:
             out.append(f"nonzero self-conductance at node {i}: {a[i, i]}")
         return out
-
-
-def validate_network(net: ThermalNetwork) -> ThermalNetwork:
-    """Return ``net`` unchanged if structurally valid.
-
-    Raises:
-        InvalidNetworkError: listing every violated invariant.
-    """
-    violations = net.violations()
-    if violations:
-        raise InvalidNetworkError(violations)
-    return net
 
 
 @dataclass(frozen=True)
@@ -266,9 +256,3 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.temps_c.shape[1]
-
-    def zone_temps(self, zone: int) -> np.ndarray:
-        return self.temps_c[:, zone - 1]
-
-    def zone_power(self, zone: int) -> np.ndarray:
-        return self.powers_kw[:, zone - 1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import controlled_subsystem, simulate
-from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values, validate_network
+from .model import Signal, ThermalNetwork, TimeGrid, Trajectory, as_values
 
 __all__ = [
     "SetpointPlan",
@@ -147,7 +147,7 @@ class CopCurve:
     """Heat-pump coefficient of performance vs outdoor temperature.
 
     Linear between the two anchors, linearly extrapolated outside them,
-    clamped to [cop_floor, cop_high].
+    clamped to [cop_floor, cop_high], so cop_floor may not exceed cop_high.
     """
 
     t_low_c: float
@@ -161,8 +161,8 @@ class CopCurve:
             raise ValueError("require t_low_c < t_high_c")
         if not (0 < self.cop_low < self.cop_high):
             raise ValueError("require 0 < cop_low < cop_high")
-        if self.cop_floor < 1.0:
-            raise ValueError("cop_floor must be >= 1")
+        if not 1.0 <= self.cop_floor <= self.cop_high:
+            raise ValueError("require 1 <= cop_floor <= cop_high")
 
 
 def cop(curve: CopCurve, t_out_c: np.ndarray | float) -> np.ndarray | float:
@@ -344,7 +344,6 @@ def _scenario(
     driven_q_kw: np.ndarray,
 ) -> Trajectory:
     """The ``driven`` zones run on their (K, len(driven)) powers; every other zone tracks its setpoint."""
-    validate_network(net)
     k, n = grid.steps, net.n
     if plan.n != n:
         raise ValueError(f"plan covers {plan.n} zones, network has {n}")
@@ -416,13 +415,12 @@ def load_weather(path: str, grid: TimeGrid) -> WeatherSeries:
             ts = _dt.datetime.fromisoformat(row[0].strip())
             t_c = float(row[1])
             g = float(row[2])
-        except ValueError as exc:
+            start = ts if start is None else start
+            t_h = (ts - start).total_seconds() / 3600.0  # TypeError when only one carries a UTC offset
+        except (TypeError, ValueError) as exc:
             raise WeatherFormatError(f"{path}: line {lineno}: {exc}") from None
         if not (math.isfinite(t_c) and math.isfinite(g)):
             raise WeatherFormatError(f"{path}: line {lineno}: non-finite value")
-        if start is None:
-            start = ts
-        t_h = (ts - start).total_seconds() / 3600.0
         if times_h and t_h <= times_h[-1]:
             raise WeatherFormatError(f"{path}: line {lineno}: timestamps not strictly increasing")
         times_h.append(t_h)

@@ -85,6 +85,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"config error: {tmp_path / 'weather.csv'}: line 7: non-finite value\n"
 
+    def test_weather_mixing_utc_offsets_exits_two(self, tmp_path, capsys):
+        rows = ["timestamp,outdoor_temp_c,ghi_w_per_m2"]
+        rows += [f"2022-12-21T{h:02d}:00:00,-5,0" for h in range(24)]
+        rows[3] = "2022-12-21T02:00:00+00:00,-5,0"
+        (tmp_path / "weather.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, weather={"csv": "weather.csv"})
+        assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {tmp_path / 'weather.csv'}: line 4: ")
+        assert "offset" in err
+
     def test_invalid_network_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

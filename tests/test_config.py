@@ -103,6 +103,9 @@ class TestSingleSource:
         ({"power_limits": {"min_kw": 2.0, "max_kw": 1.0}}, "power_limits.min_kw"),
         ({"weather": {"synthetic": {"sunrise_h": 12, "sunset_h": 8}}}, "weather.synthetic"),
         ({"weather": {"synthetic": {"sunrise_h": 10, "sunset_h": 10}}}, "weather.synthetic"),
+        ({"cop": {"cop_floor": 5.0}}, "cop"),
+        ({"grid": {"dt_h": True}}, "grid"),
+        ({"comfort": {"tight_band_c": False}}, "comfort.tight_band_c"),
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, command, section, fieldname):

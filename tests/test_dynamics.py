@@ -6,8 +6,8 @@ import pytest
 from conftest import euler_simulate, random_network
 
 from crosszone.dynamics import discretize, simulate
-from crosszone.estimator import stieltjes_integral, weighted_integral
-from crosszone.model import ThermalNetwork, TimeGrid, Trajectory
+from crosszone.estimator import BoundaryMismatchWarning, corrected_savings
+from crosszone.model import CostModel, ThermalNetwork, TimeGrid, Trajectory
 
 
 def single_zone_network(loss_kw_per_c: float = 0.135, cap_kwh_per_c: float = 0.27) -> ThermalNetwork:
@@ -177,13 +177,18 @@ def _fine_quadrature(net, grid, t_init_a, t_init_b, q_a, q_b, price, zone, subst
     return total
 
 
+def _weighted_integral(traj_a: Trajectory, traj_b: Trajectory, price: np.ndarray, zone: int) -> float:
+    """Exact integral of price(t) * (T_zone^a(t) - T_zone^b(t)) dt from the step integrals."""
+    return price @ (traj_a.temp_integrals_c_h[:, zone - 1] - traj_b.temp_integrals_c_h[:, zone - 1])
+
+
 class TestWeightedIntegral:
     def test_identical_trajectories_give_zero(self, two_zone_network):
         grid = TimeGrid(0.25, 8)
         model = discretize(two_zone_network, grid)
         traj = simulate(model, [20.0, 20.0], np.ones((8, 2)), np.zeros((8, 2)), np.zeros(8))
         for zone in (1, 2):
-            assert weighted_integral(traj, traj, np.full(8, 0.07), zone) == 0.0
+            assert _weighted_integral(traj, traj, np.full(8, 0.07), zone) == 0.0
 
     def test_exponential_decay_analytic_value(self):
         # x(t) = x0 exp(-t / theta) with theta = C / alpha = 2 h.
@@ -193,7 +198,7 @@ class TestWeightedIntegral:
         x0, theta, tau = 3.0, 0.27 / 0.135, 8.0
         traj_a = simulate(model, [x0], np.zeros((16, 1)), np.zeros((16, 1)), np.zeros(16))
         traj_b = simulate(model, [0.0], np.zeros((16, 1)), np.zeros((16, 1)), np.zeros(16))
-        value = weighted_integral(traj_a, traj_b, np.ones(16), 1)
+        value = _weighted_integral(traj_a, traj_b, np.ones(16), 1)
         expected = x0 * theta * (1.0 - np.exp(-tau / theta))
         assert value == pytest.approx(expected, abs=1e-10)
 
@@ -209,7 +214,7 @@ class TestWeightedIntegral:
         traj_a = simulate(model, ta0, q_a, zeros, np.zeros(8))
         traj_b = simulate(model, tb0, q_b, zeros, np.zeros(8))
         for zone in (1, 2):
-            value = weighted_integral(traj_a, traj_b, price, zone)
+            value = _weighted_integral(traj_a, traj_b, price, zone)
             oracle = _fine_quadrature(two_zone_network, grid, ta0, tb0, q_a, q_b, price, zone)
             assert value == pytest.approx(oracle, rel=1e-6)
 
@@ -220,14 +225,18 @@ class TestWeightedIntegral:
         zeros = np.zeros((10, 2))
         base = simulate(model, [20.0, 20.0], rng.uniform(0, 1, (10, 2)), zeros, np.zeros(10))
         other = simulate(model, [22.0, 19.0], rng.uniform(0, 1, (10, 2)), zeros, np.zeros(10))
-        p1 = rng.uniform(0.01, 0.1, 10)
-        p2 = rng.uniform(0.01, 0.1, 10)
-        v1 = weighted_integral(base, other, p1, 1)
-        v2 = weighted_integral(base, other, p2, 1)
-        combo = weighted_integral(base, other, 2.0 * p1 + 0.5 * p2, 1)
+        p1 = rng.uniform(0.01, 0.1, (2, 10))
+        p2 = rng.uniform(0.01, 0.1, (2, 10))
+
+        def savings(a, b, prices):
+            return corrected_savings(a, b, two_zone_network, CostModel(prices))
+
+        v1 = savings(base, other, p1)
+        v2 = savings(base, other, p2)
+        combo = savings(base, other, 2.0 * p1 + 0.5 * p2)
         assert combo == pytest.approx(2.0 * v1 + 0.5 * v2, rel=1e-12)
         # Antisymmetry in the trajectory pair doubles as difference-linearity.
-        assert weighted_integral(other, base, p1, 1) == pytest.approx(-v1, rel=1e-12)
+        assert savings(other, base, p1) == pytest.approx(-v1, rel=1e-12)
 
 
 def _x_profile_trajectory(grid: TimeGrid, x: np.ndarray) -> Trajectory:
@@ -242,17 +251,29 @@ def _x_profile_trajectory(grid: TimeGrid, x: np.ndarray) -> Trajectory:
     )
 
 
+# One zone with no conductances: corrected savings reduce to the storage
+# term, C times sum_k a(k) (x(k+1) - x(k)) (form a) or -sum_k (a(k) - a(k-1))
+# x(k) (form b), which agree by summation by parts whenever x(0) = x(K) = 0.
+STORAGE_C = 0.27
+STORAGE_ONLY = ThermalNetwork([STORAGE_C], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def _storage_savings(grid: TimeGrid, x: np.ndarray, price: np.ndarray, form: str) -> float:
+    base = _x_profile_trajectory(grid, x)
+    exp = _x_profile_trajectory(grid, np.zeros(grid.steps + 1))
+    return corrected_savings(base, exp, STORAGE_ONLY, CostModel(price[None, :]), form)
+
+
 class TestStieltjesIntegral:
     def test_constant_price_telescopes(self):
         grid = TimeGrid(dt_h=4.0, steps=6)
         x = np.array([1.0, 2.0, 0.5, 3.0, 2.0, 1.5, 1.0])
-        traj_a = _x_profile_trajectory(grid, x)
-        traj_b = _x_profile_trajectory(grid, np.zeros(7))
         price = np.full(6, 0.1)
-        assert stieltjes_integral(traj_a, traj_b, price, 1, "a_dx") == pytest.approx(
-            0.1 * (x[-1] - x[0]), abs=1e-15
+        assert _storage_savings(grid, x, price, "a") == pytest.approx(
+            STORAGE_C * 0.1 * (x[-1] - x[0]), abs=1e-15
         )
-        assert stieltjes_integral(traj_a, traj_b, price, 1, "x_da") == 0.0
+        with pytest.warns(BoundaryMismatchWarning, match="zone 1 does not start and end"):
+            assert _storage_savings(grid, x, price, "b") == 0.0
 
     def test_modes_agree_with_pinned_endpoints(self):
         rng = np.random.default_rng(23)
@@ -261,26 +282,21 @@ class TestStieltjesIntegral:
             x = rng.uniform(-2, 2, 25)
             x[0] = x[-1] = 0.0
             price = rng.choice([0.12, 0.14, 0.16], size=24)
-            traj_a = _x_profile_trajectory(grid, x)
-            traj_b = _x_profile_trajectory(grid, np.zeros(25))
-            a_dx = stieltjes_integral(traj_a, traj_b, price, 1, "a_dx")
-            x_da = stieltjes_integral(traj_a, traj_b, price, 1, "x_da")
+            a_dx = _storage_savings(grid, x, price, "a")
+            x_da = _storage_savings(grid, x, price, "b")
             assert a_dx == pytest.approx(x_da, abs=1e-12)
 
     def test_hand_computed_six_step_values(self):
         # Three-level time-of-use price sampled on 4-hour steps with a
         # synthetic pinned-endpoint deviation profile; both sums were
-        # enumerated by hand.
+        # enumerated by hand: -0.12 each.
         grid = TimeGrid(dt_h=4.0, steps=6)
         price = np.array([0.12, 0.12, 0.14, 0.14, 0.16, 0.14])
         x = np.array([0.0, 1.0, 3.0, 2.0, 4.0, 1.0, 0.0])
-        traj_a = _x_profile_trajectory(grid, x)
-        traj_b = _x_profile_trajectory(grid, np.zeros(7))
-        assert stieltjes_integral(traj_a, traj_b, price, 1, "a_dx") == pytest.approx(-0.12, abs=1e-12)
-        assert stieltjes_integral(traj_a, traj_b, price, 1, "x_da") == pytest.approx(-0.12, abs=1e-12)
+        assert _storage_savings(grid, x, price, "a") == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)
+        assert _storage_savings(grid, x, price, "b") == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)
 
     def test_unknown_mode_rejected(self):
         grid = TimeGrid(dt_h=1.0, steps=2)
-        traj = _x_profile_trajectory(grid, np.zeros(3))
-        with pytest.raises(ValueError, match="mode"):
-            stieltjes_integral(traj, traj, np.zeros(2), 1, "dx_a")
+        with pytest.raises(ValueError, match="form"):
+            _storage_savings(grid, np.zeros(3), np.zeros(2), "dx_a")

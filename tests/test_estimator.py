@@ -149,9 +149,7 @@ class TestCorrectedSavings:
     def test_uniform_price_reduction_two_zone(self, two_zone_network):
         # With one uniform price the inter-zone price-difference terms drop
         # out; form b reduces to conduction through the exterior wall plus
-        # the price-jump storage term.
-        from crosszone.estimator import stieltjes_integral, weighted_integral
-
+        # the price-jump storage term of zone 1 (zone 2 stays pinned).
         rng = np.random.default_rng(3)
         grid = TimeGrid(0.25, 48)
         plan = SetpointPlan([21.0, 21.0], (1,))
@@ -159,9 +157,9 @@ class TestCorrectedSavings:
         price = piecewise_constant_price(np.random.default_rng(3), grid.steps)
         cost = CostModel.uniform(price, 2)
         full = corrected_savings(base, exp, two_zone_network, cost, "b")
-        reduced = 0.045 * weighted_integral(base, exp, price, 1) + 0.27 * stieltjes_integral(
-            base, exp, price, 1, "x_da"
-        )
+        x1 = base.temps_c[:, 0] - exp.temps_c[:, 0]
+        conduction = price @ (base.temp_integrals_c_h[:, 0] - exp.temp_integrals_c_h[:, 0])
+        reduced = 0.045 * conduction - 0.27 * (np.diff(price) @ x1[1:-1])
         assert full == pytest.approx(reduced, rel=1e-12)
 
     def test_four_zone_identity_against_oracle(self):
@@ -320,6 +318,15 @@ class TestClosedForms:
             [0.27, 0.81], [[0.0, 0.045, 0.135], [0.045, 0.0, 0.0], [0.135, 0.0, 0.0]]
         )
         assert two_zone_relative_error(net) == 0.0
+
+    def test_uncoupled_zone_has_no_error(self):
+        # Zone 1 exchanges no heat with anything: none of its savings are fictitious.
+        net = ThermalNetwork([0.27, 0.81], [[0.0, 0.0, 0.135], [0.0, 0.0, 0.0], [0.135, 0.0, 0.0]])
+        assert two_zone_relative_error(net) == 0.0
+        grid, plan, base, exp = cold_snap_pair(net)
+        cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
+        assert overestimation_error(base, exp, net, cost, plan) == 0.0
+        assert oracle_true_savings(base, exp, cost) > 0.0
 
     def test_interior_zone_is_infinite(self):
         net = ThermalNetwork(

@@ -385,6 +385,17 @@ class TestBuildControlLp:
 
 
 class TestOptimizeControlledZones:
+    @pytest.mark.parametrize("zones", [1, 3])
+    def test_plan_zone_count_must_match_network(self, zones):
+        # Fewer or more plan zones than network zones is refused before any LP is built.
+        cfg = small_cfg(steps=8)
+        weather, gains, price = _prepare_inputs(cfg)
+        plan = SetpointPlan([21.0] * zones, (1,))
+        with pytest.raises(ValueError, match=f"plan covers {zones} zones, network has 2"):
+            optimize_controlled_zones(
+                cfg.network, plan, cfg.grid, price, cfg.comfort(), gains[:, [0] * zones], weather.outdoor
+            )
+
     def test_zero_band_reproduces_baseline_cost(self):
         cfg = small_cfg()
         cfg = dataclasses.replace(cfg, tight_band_c=0.0, wide_band_c=0.0)

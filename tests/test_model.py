@@ -10,46 +10,45 @@ from crosszone.model import (
     ThermalNetwork,
     TimeGrid,
     Trajectory,
-    validate_network,
 )
+
+
+def violations(capacitances, conductances) -> list[str]:
+    """The invariants that constructing this network reports violated."""
+    with pytest.raises(InvalidNetworkError) as exc:
+        ThermalNetwork(capacitances, conductances)
+    assert str(exc.value) == "; ".join(exc.value.violations)
+    return exc.value.violations
 
 
 class TestNetworkValidation:
     def test_two_zone_study_network_is_valid(self, two_zone_network):
-        assert validate_network(two_zone_network) is two_zone_network
         assert two_zone_network.n == 2
         assert two_zone_network.conductance(1, 2) == 0.090
-        assert two_zone_network.capacitance(2) == 0.81
+        assert two_zone_network.capacitances_kwh_per_c[1] == 0.81
 
     def test_asymmetric_matrix_reports_indices(self):
-        net = ThermalNetwork(
-            [0.27, 0.81],
-            [[0.0, 0.045, 0.135], [0.045, 0.0, 0.090], [0.135, 0.050, 0.0]],
-        )
-        with pytest.raises(InvalidNetworkError) as exc:
-            validate_network(net)
-        assert any("asymmetric" in v and "(1,2)" in v.replace(" ", "") for v in exc.value.violations)
+        found = violations([0.27, 0.81], [[0.0, 0.045, 0.135], [0.045, 0.0, 0.090], [0.135, 0.050, 0.0]])
+        assert any("asymmetric" in v and "(1,2)" in v.replace(" ", "") for v in found)
 
     def test_nonpositive_capacitance(self):
-        net = ThermalNetwork([0.0], [[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(InvalidNetworkError, match="nonpositive capacitance"):
-            validate_network(net)
+            ThermalNetwork([0.0], [[0.0, 0.1], [0.1, 0.0]])
 
     def test_negative_conductance(self):
-        net = ThermalNetwork([0.5], [[0.0, -0.1], [-0.1, 0.0]])
-        assert any("negative conductance" in v for v in net.violations())
+        assert any("negative conductance" in v for v in violations([0.5], [[0.0, -0.1], [-0.1, 0.0]]))
 
     def test_dimension_mismatch(self):
-        net = ThermalNetwork([0.5, 0.5], [[0.0, 0.1], [0.1, 0.0]])
-        assert any("inconsistent" in v for v in net.violations())
+        assert any("inconsistent" in v for v in violations([0.5, 0.5], [[0.0, 0.1], [0.1, 0.0]]))
 
     def test_nonzero_diagonal(self):
-        net = ThermalNetwork([0.5], [[0.0, 0.1], [0.1, 0.2]])
-        assert any("self-conductance" in v for v in net.violations())
+        assert any("self-conductance" in v for v in violations([0.5], [[0.0, 0.1], [0.1, 0.2]]))
 
     def test_all_violations_collected(self):
-        net = ThermalNetwork([-1.0], [[0.0, -0.1], [-0.2, 0.0]])
-        assert len(net.violations()) >= 2
+        found = violations([-1.0], [[0.0, -0.1], [-0.2, 0.0]])
+        assert len(found) >= 2
+        assert any("nonpositive capacitance" in v for v in found)
+        assert any("asymmetric conductance" in v for v in found)
 
     def test_arrays_are_frozen(self, two_zone_network):
         with pytest.raises(ValueError):
@@ -103,16 +102,3 @@ class TestTrajectory:
                 outdoor_c=np.zeros(3),
                 temp_integrals_c_h=np.zeros((3, 2)),
             )
-
-    def test_zone_accessors(self):
-        grid = TimeGrid(dt_h=0.5, steps=2)
-        traj = Trajectory(
-            grid=grid,
-            temps_c=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            powers_kw=np.array([[0.1, 0.2], [0.3, 0.4]]),
-            gains_kw=np.zeros((2, 2)),
-            outdoor_c=np.zeros(2),
-            temp_integrals_c_h=np.zeros((2, 2)),
-        )
-        assert np.array_equal(traj.zone_temps(2), [2.0, 4.0, 6.0])
-        assert np.array_equal(traj.zone_power(1), [0.1, 0.3])

@@ -243,7 +243,7 @@ class TestRunBaseline:
         gains = np.zeros((96, 2))
         gains[:, 0] = 0.25
         base = run_baseline(two_zone_network, plan, weather, gains, grid)
-        cost = 0.05 * base.zone_power(1).sum() * grid.dt_h
+        cost = 0.05 * base.powers_kw[:, 0].sum() * grid.dt_h
         assert cost == pytest.approx(1.374, abs=1e-12)
 
 
