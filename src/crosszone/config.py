@@ -171,8 +171,8 @@ def _fields(fieldname: str):
 
 
 def _number(value, lo: float = -math.inf) -> float:
-    """``value`` as a finite float no less than ``lo``; booleans are refused."""
-    x = math.nan if isinstance(value, bool) else float(value)
+    """``value`` as a finite float no less than ``lo``; anything but an int or a float is refused."""
+    x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
     if not (math.isfinite(x) and x >= lo):
         bound = f" >= {lo:g}" if lo > -math.inf else ""
         raise ValueError(f"expected a finite number{bound}, got {value!r}")
@@ -187,12 +187,16 @@ def _integer(value, lo: int) -> int:
     return int(value)
 
 
+def _numbers(values, lo: float = -math.inf) -> np.ndarray:
+    """A (nested) list of numbers as a float array, each element read by ``_number``."""
+    items = np.asarray(values, dtype=object)
+    return np.array([_number(v, lo) for v in items.ravel()], dtype=float).reshape(items.shape)
+
+
 def _areas(values, n: int) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
+    a = _numbers(values, lo=0.0)
     if a.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {a.shape}")
-    if not np.all((a >= 0) & (a < math.inf)):
-        raise ValueError(f"areas must be finite and nonnegative, got {values!r}")
     return a
 
 
@@ -204,13 +208,13 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
     with _fields("network"):
         net = doc["network"]
         network = ThermalNetwork(
-            np.asarray(net["capacitances_kwh_per_c"], dtype=float),
-            np.asarray(net["conductances_w_per_c"], dtype=float) / 1000.0,
+            _numbers(net["capacitances_kwh_per_c"]),
+            _numbers(net["conductances_w_per_c"]) / 1000.0,
         )
     with _fields("zones.controlled"):
         controlled = tuple(_integer(z, 1) for z in doc["zones"]["controlled"])
     with _fields("zones"):
-        plan = SetpointPlan(np.asarray(doc["zones"]["setpoints_c"], dtype=float), controlled)
+        plan = SetpointPlan(_numbers(doc["zones"]["setpoints_c"]), controlled)
     if plan.n != network.n:
         raise ConfigError("zones.setpoints_c", f"{plan.n} setpoints for {network.n} zones")
     g = doc["grid"]
@@ -259,6 +263,8 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         for window in windows:
             clock_segments(*window)
     weather = doc["weather"]
+    with _fields("weather.synthetic"):
+        synthetic = {key: _number(value) for key, value in weather["synthetic"].items()}
     with _fields("weather.csv"):
         weather_csv = weather["csv"]
         if weather_csv is not None:
@@ -287,7 +293,7 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         wide_band_c=wide,
         tight_windows=windows,
         weather_csv=weather_csv,
-        synthetic_weather_kwargs=dict(weather["synthetic"]),
+        synthetic_weather_kwargs=synthetic,
         q_min_kw=q_min,
         q_max_kw=q_max,
         constant_price=constant_price,

@@ -9,7 +9,12 @@ per-step comfort band around the setpoint.
 Problems are solved by a self-contained revised simplex over bounded
 variables (two phases). The constraint matrix is kept as sparse columns of
 its nonzeros and the artificial columns are implicit; the basis inverse is
-dense and explicit, refactorized periodically. Pricing is
+dense and explicit, updated per pivot and refactorized periodically by
+triangular substitution over the basis's column singletons plus a dense
+inverse of the kernel they leave (Hellerman & Rarick, "Reinversion with the
+preassigned pivot procedure", Math. Programming 1, 1971). The duals are
+updated per pivot from the new row of the inverse and recomputed exactly at
+each refactor and at the end of each phase. Pricing is
 most-negative-reduced-cost with an automatic switch to Bland's rule after a
 run of degenerate pivots, so the method is deterministic and cannot cycle.
 Optimality is certified independently of the pivot path by recomputing the
@@ -257,21 +262,80 @@ class _Simplex:
         nz = slice(self.col_start[j], self.col_start[j + 1])
         return self.b_inv[:, self.row[nz]] @ self.val[nz]
 
-    def _basis_matrix(self) -> np.ndarray:
-        """The basic columns of [A | S], assembled from the triplets."""
+    def _basis_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The basic columns of [A | S] as (row, basis position, value) triplets."""
         pos = np.full(self.n + self.m, -1)
         pos[self.basis] = np.arange(self.m)
-        mat = np.zeros((self.m, self.m))
         basic = pos[self.col] >= 0
-        mat[self.row[basic], pos[self.col[basic]]] = self.val[basic]
         art = np.nonzero(pos[self.n :] >= 0)[0]
-        mat[art, pos[self.n + art]] = self.sign[art]
-        return mat
+        return (
+            np.concatenate([self.row[basic], art]),
+            np.concatenate([pos[self.col[basic]], pos[self.n + art]]),
+            np.concatenate([self.val[basic], self.sign[art]]),
+        )
 
     def refactor(self) -> None:
-        basis_mat = self._basis_matrix()
-        self.b_inv = None  # free the old inverse before the new one is allocated
-        self.b_inv = np.linalg.inv(basis_mat)
+        """Recompute B^-1, then the basic x, from the basis alone.
+
+        Columns with a single entry outside the rows already taken are
+        peeled off in rounds; ordered by round, they make B block upper
+        triangular over the kernel left at the end, which alone is
+        inverted densely. The rows of B^-1 are then filled by back
+        substitution from the kernel to the first round. A singular basis
+        raises ``np.linalg.LinAlgError``.
+        """
+        m = self.m
+        rows, cols, vals = self._basis_triplets()
+        row_round = np.full(m, -1)  # peeling round of each row; -1 for the kernel
+        pivot_col = np.empty(m, dtype=int)  # basis position pivoting on each peeled row
+        col_taken = np.zeros(m, dtype=bool)
+        pivot = np.zeros(rows.size, dtype=bool)
+        live = np.ones(rows.size, dtype=bool)  # entries in rows not yet taken
+        rounds = []
+        while True:
+            single = live & (np.bincount(cols[live], minlength=m)[cols] == 1)
+            if not single.any():
+                break
+            r, c = rows[single], cols[single]
+            if np.bincount(r, minlength=m).max() > 1:
+                raise np.linalg.LinAlgError("Singular matrix")  # two columns pivot on one row
+            row_round[r] = len(rounds)
+            pivot_col[r] = c
+            col_taken[c] = True
+            pivot |= single
+            live &= row_round[rows] < 0
+            rounds.append((r, c, vals[single]))
+
+        kernel_rows, kernel_cols = np.nonzero(row_round < 0)[0], np.nonzero(~col_taken)[0]
+        if kernel_rows.size:
+            at_row, at_col = np.empty(m, dtype=int), np.empty(m, dtype=int)
+            at_row[kernel_rows] = np.arange(kernel_rows.size)
+            at_col[kernel_cols] = np.arange(kernel_cols.size)
+            kernel = np.zeros((kernel_rows.size, kernel_cols.size))
+            kernel[at_row[rows[live]], at_col[cols[live]]] = vals[live]
+            self.b_inv = None  # no row of the old inverse is read: free it before LAPACK's buffers
+            kernel = np.linalg.inv(kernel)
+            self.b_inv = np.zeros((m, m))
+            self.b_inv[np.ix_(kernel_cols, kernel_rows)] = kernel
+
+        # Row r of B X = I, for the column c pivoting on it, reads
+        # X[c] = (e_r - sum of B[r, c'] X[c'] over columns c' of later rounds
+        # and the kernel) / B[r, c]; earlier rounds have no entry in row r.
+        for t in range(len(rounds) - 1, -1, -1):
+            r, c, v = rounds[t]
+            self.b_inv[c] = 0.0
+            self.b_inv[c, r] = 1.0
+            off = np.nonzero(~pivot & (row_round[rows] == t))[0]
+            off = off[np.argsort(rows[off], kind="stable")]
+            slot = np.arange(off.size) - np.searchsorted(rows[off], rows[off])  # rank within its row
+            # One entry per row at a time, so no row repeats within a scatter.
+            for k in range(int(slot.max(initial=-1)) + 1):
+                e = off[slot == k]
+                terms = self.b_inv[cols[e]]
+                terms *= vals[e, None]
+                self.b_inv[pivot_col[rows[e]]] -= terms
+            self.b_inv[c] /= v[:, None]
+
         x_nonbasic = self.x.copy()
         x_nonbasic[self.basis] = 0.0
         self.x[self.basis] = self.b_inv @ (self.b - self._times(x_nonbasic))
@@ -295,16 +359,23 @@ class _Simplex:
     def run_phase(self, c_phase: np.ndarray, max_iter: int, allow_unbounded: bool) -> str:
         dtol = _KKT_TOL * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
         fixed = self.lower == self.upper
+        # y is recomputed as B^-T c_B at the start, after each refactor and
+        # before the phase may stop; in between each pivot updates it.
+        recompute, updated = True, False
         while True:
             if self.iterations >= max_iter:
                 return "iteration-limit"
-            c_b = c_phase[self.basis]
-            self.y = self.b_inv.T @ c_b
+            if recompute:
+                self.y = self.b_inv.T @ c_phase[self.basis]
+                recompute, updated = False, False
             z = c_phase - self._price(self.y)
             bland = self.degenerate_run > _DEGENERATE_RUN_LIMIT
             j = self._entering(z, dtol, bland, fixed)
             if j < 0:
-                return "optimal"
+                if not updated:
+                    return "optimal"
+                recompute = True
+                continue
             self.iterations += 1
 
             if self.state[j] == self.AT_UPPER or (self.state[j] == self.FREE and z[j] > 0):
@@ -355,9 +426,12 @@ class _Simplex:
             moved = np.nonzero(d)[0]
             self.b_inv[moved] -= np.outer(d[moved], row)
             self.b_inv[r] = row
+            self.y += z[j] * row
+            updated = True
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self.refactor()
+                recompute = True
 
             self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
 

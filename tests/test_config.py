@@ -106,6 +106,14 @@ class TestSingleSource:
         ({"cop": {"cop_floor": 5.0}}, "cop"),
         ({"grid": {"dt_h": True}}, "grid"),
         ({"comfort": {"tight_band_c": False}}, "comfort.tight_band_c"),
+        ({"grid": {"dt_h": "0.5"}}, "grid"),
+        ({"comfort": {"tight_band_c": "1.0"}}, "comfort.tight_band_c"),
+        ({"zones": {"setpoints_c": [True, 21.0]}}, "zones"),
+        ({"network": {"capacitances_kwh_per_c": ["0.27", 0.81]}}, "network"),
+        ({"network": {"conductances_w_per_c": [[0, 45, 135], [45, 0, True], [135, True, 0]]}}, "network"),
+        ({"areas": {"exterior_wall_m2": [True, 90]}}, "areas.exterior_wall_m2"),
+        ({"areas": {"floor_m2": ["25", 75]}}, "areas.floor_m2"),
+        ({"weather": {"synthetic": {"mean_c": True}}}, "weather.synthetic"),
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, command, section, fieldname):

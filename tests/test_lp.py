@@ -287,7 +287,11 @@ class TestSparseStorage:
         rng = np.random.default_rng(m)
         for _ in range(20):
             sim, full = self.random_simplex(rng, m)
-            np.testing.assert_array_equal(sim._basis_matrix(), full[:, sim.basis])
+            rows, cols, vals = sim._basis_triplets()
+            basis_mat = np.zeros((m, m))
+            basis_mat[rows, cols] = vals
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+            np.testing.assert_array_equal(basis_mat, full[:, sim.basis])
             y = rng.normal(size=m)
             np.testing.assert_allclose(sim._price(y), full.T @ y, rtol=0, atol=1e-13)
             v = rng.normal(size=full.shape[1])
@@ -334,6 +338,122 @@ class TestControlLpAgainstHighs:
         assert ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-9 * abs(ref.fun)
         assert sol.residuals.max() <= 1e-8
+
+
+def builtin_study_lp():
+    """The built-in study's control LP (``default_config()``, gain seed 1)."""
+    cfg = default_config()
+    weather, gains, price = _prepare_inputs(cfg)
+    return build_control_lp(
+        cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor, cfg.q_min_kw, cfg.q_max_kw
+    )
+
+
+def dense_basis(sim):
+    rows, cols, vals = sim._basis_triplets()
+    mat = np.zeros((sim.m, sim.m))
+    mat[rows, cols] = vals
+    return mat
+
+
+class TestRefactor:
+    """The peeled triangular inverse against ``np.linalg.inv`` of the dense basis."""
+
+    @staticmethod
+    def bases_met(monkeypatch, prob):
+        met = []
+        real_refactor = lp_module._Simplex.refactor
+
+        def refactor(sim):
+            real_refactor(sim)
+            met.append((dense_basis(sim), sim.b_inv.copy()))
+
+        monkeypatch.setattr(lp_module._Simplex, "refactor", refactor)
+        assert solve_lp(prob).status == "optimal"
+        return met
+
+    @pytest.mark.parametrize("case", ["builtin-study", "6-zone-3-controlled"])
+    def test_bases_met_while_solving(self, monkeypatch, case):
+        if case == "builtin-study":
+            prob = builtin_study_lp()
+        else:
+            prob = random_control_lp(np.random.default_rng([11, 5]), 3, 48)
+            assert prob.a_eq.shape == (150, 291)
+        met = self.bases_met(monkeypatch, prob)
+        assert len(met) >= 3
+        for basis_mat, b_inv in met:
+            np.testing.assert_allclose(b_inv, np.linalg.inv(basis_mat), rtol=0, atol=1e-12)
+
+    def test_random_sparse_bases(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 25))
+            n = int(rng.integers(1, 2 * m + 2))
+            a = rng.uniform(-2, 2, (m, n)) * (rng.random((m, n)) < rng.uniform(0.05, 0.6))
+            prob = LpProblem(c=np.zeros(n), a_eq=a, b_eq=rng.normal(size=m), lower=np.zeros(n), upper=np.ones(n))
+            sim = lp_module._Simplex(prob)
+            sim.basis = rng.choice(n + m, size=m, replace=False)
+            basis_mat = dense_basis(sim)
+            if np.linalg.cond(basis_mat) > 1e3:
+                continue
+            sim.refactor()
+            ref = np.linalg.inv(basis_mat)
+            np.testing.assert_allclose(sim.b_inv, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize(
+        "a_eq",
+        [
+            [[1.0, 2.0], [0.0, 0.0]],  # two column singletons on one row
+            [[1.0, 2.0], [2.0, 4.0]],  # singular kernel
+            [[0.0, 1.0], [0.0, 0.0]],  # empty column
+        ],
+        ids=["shared-pivot-row", "singular-kernel", "empty-column"],
+    )
+    def test_singular_basis_raises(self, a_eq):
+        prob = LpProblem(c=[0.0, 0.0], a_eq=a_eq, b_eq=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
+        sim = lp_module._Simplex(prob)
+        sim.basis = np.array([0, 1])
+        with pytest.raises(np.linalg.LinAlgError):
+            sim.refactor()
+
+
+class TestBuiltinStudyPivotPath:
+    """The built-in study's LP keeps the pivot path of the dense-inverse simplex."""
+
+    def test_pivot_count_and_objective_bits(self):
+        sol = solve_lp(builtin_study_lp())
+        assert sol.status == "optimal"
+        assert sol.iterations == 1087
+        assert sol.objective.hex() == "0x1.300fbc9e71383p+3"
+
+    def test_each_phase_ends_on_exact_duals(self, monkeypatch):
+        """Per-pivot dual updates drift; a phase stops only on y = B^-T c_B recomputed."""
+        ends = []
+        real_run_phase = lp_module._Simplex.run_phase
+
+        def run_phase(sim, c_phase, *args, **kwargs):
+            status = real_run_phase(sim, c_phase, *args, **kwargs)
+            ends.append((sim.y.copy(), sim.b_inv.T @ c_phase[sim.basis]))
+            return status
+
+        monkeypatch.setattr(lp_module._Simplex, "run_phase", run_phase)
+        sol = solve_lp(builtin_study_lp())
+        assert sol.status == "optimal"
+        assert len(ends) == 2
+        for y, exact in ends:
+            np.testing.assert_array_equal(y, exact)
+        np.testing.assert_allclose(sol.y, ends[-1][1], rtol=0, atol=1e-12)
+
+    def test_no_dense_inverse(self, monkeypatch):
+        prob = builtin_study_lp()
+        calls = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(lp_module.np.linalg, "inv", lambda a: calls.append(a.shape) or real_inv(a))
+        assert solve_lp(prob).status == "optimal"
+        assert calls == []
 
 
 class TestBuildControlLp:
