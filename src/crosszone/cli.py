@@ -8,8 +8,9 @@ Subcommands:
     geometry            closed-form relative error from wall construction
 
 Exit codes: 0 success, 2 configuration error, 3 optimization ended without
-an optimal plan (infeasible, unbounded or iteration limit), 4 data mismatch
-between the trajectory files and the config.
+an optimal plan (infeasible, unbounded, iteration limit, or uncertified:
+converged but failing its KKT check), 4 data mismatch between the
+trajectory files and the config.
 """
 
 from __future__ import annotations

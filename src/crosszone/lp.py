@@ -14,9 +14,16 @@ triangular substitution over the basis's column singletons plus a dense
 inverse of the kernel they leave (Hellerman & Rarick, "Reinversion with the
 preassigned pivot procedure", Math. Programming 1, 1971). The duals are
 updated per pivot from the new row of the inverse and recomputed exactly at
-each refactor and at the end of each phase. Pricing is
-most-negative-reduced-cost with an automatic switch to Bland's rule after a
-run of degenerate pivots, so the method is deterministic and cannot cycle.
+each refactor and at the end of each phase. Pivot column d = B^-1 a_j and
+the new row of the inverse are hyper-sparse (Hall & McKinnon, "Hyper-sparsity
+in the revised simplex method and how to exploit it", Comput. Optim. Appl.
+32, 2005), so the ratio test and the primal update run over the support of
+d, the rank-one update of the inverse over the support of d times that of
+the row, and the dual update over the row's. Pricing is
+most-negative-reduced-cost over a per-column bound weight (-1 at a lower
+bound, +1 at an upper bound, 0 when basic or fixed) kept up to date per
+pivot, with an automatic switch to Bland's rule after a run of degenerate
+pivots, so the method is deterministic and cannot cycle.
 Optimality is certified independently of the pivot path by recomputing the
 KKT residuals from (x, y) alone.
 """
@@ -157,7 +164,7 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | uncertified
     x: np.ndarray | None
     y: np.ndarray | None
     objective: float | None
@@ -341,24 +348,16 @@ class _Simplex:
         self.x[self.basis] = self.b_inv @ (self.b - self._times(x_nonbasic))
         self.pivots_since_refactor = 0
 
-    def _entering(self, z: np.ndarray, dtol: float, bland: bool, fixed: np.ndarray) -> int:
-        viol = np.zeros_like(z)
-        sel = (self.state == self.AT_LOWER) & ~fixed
-        viol[sel] = np.maximum(-z[sel], 0.0)
-        sel = (self.state == self.AT_UPPER) & ~fixed
-        viol[sel] = np.maximum(z[sel], 0.0)
-        sel = self.state == self.FREE
-        viol[sel] = np.abs(z[sel])
-        candidates = np.nonzero(viol > dtol)[0]
-        if candidates.size == 0:
-            return -1
-        if bland:
-            return int(candidates[0])
-        return int(candidates[np.argmax(viol[candidates])])
-
     def run_phase(self, c_phase: np.ndarray, max_iter: int, allow_unbounded: bool) -> str:
         dtol = _KKT_TOL * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
         fixed = self.lower == self.upper
+        # Pricing weight of each column: -1 at its lower bound, +1 at its
+        # upper bound, 0 when basic or fixed, so the violation of a bounded
+        # nonbasic column is max(weight * z, 0). Nonbasic free columns
+        # price at |z|; once basic they never leave, as their room is infinite.
+        weight = np.where(self.state == self.AT_LOWER, -1.0, np.where(self.state == self.AT_UPPER, 1.0, 0.0))
+        weight[fixed] = 0.0
+        free = (self.state == self.FREE).nonzero()[0]
         # y is recomputed as B^-T c_B at the start, after each refactor and
         # before the phase may stop; in between each pivot updates it.
         recompute, updated = True, False
@@ -369,9 +368,14 @@ class _Simplex:
                 self.y = self.b_inv.T @ c_phase[self.basis]
                 recompute, updated = False, False
             z = c_phase - self._price(self.y)
-            bland = self.degenerate_run > _DEGENERATE_RUN_LIMIT
-            j = self._entering(z, dtol, bland, fixed)
-            if j < 0:
+            viol = weight * z
+            np.maximum(viol, 0.0, out=viol)
+            viol[free] = np.abs(z[free])
+            if self.degenerate_run > _DEGENERATE_RUN_LIMIT:
+                j = int(np.argmax(viol > dtol))  # Bland: the first candidate
+            else:
+                j = int(np.argmax(viol))
+            if not viol[j] > dtol:
                 if not updated:
                     return "optimal"
                 recompute = True
@@ -383,16 +387,16 @@ class _Simplex:
             else:
                 sigma = 1.0
             d = self._column(j)
-            step_basic = sigma * d
-
-            xb = self.x[self.basis]
-            lb = self.lower[self.basis]
-            ub = self.upper[self.basis]
-            t_limit = np.full(self.m, np.inf)
-            dec = step_basic > _PIVOT_TOL
-            t_limit[dec] = np.maximum(xb[dec] - lb[dec], 0.0) / step_basic[dec]
-            inc = step_basic < -_PIVOT_TOL
-            t_limit[inc] = np.maximum(ub[inc] - xb[inc], 0.0) / (-step_basic[inc])
+            # The ratio test and the primal update touch only the support of d.
+            nz = d.nonzero()[0]
+            moving = self.basis[nz]
+            step = sigma * d[nz]
+            xb = self.x[moving]
+            t_limit = np.full(nz.size, np.inf)
+            dec = step > _PIVOT_TOL
+            t_limit[dec] = np.maximum(xb[dec] - self.lower[moving[dec]], 0.0) / step[dec]
+            inc = step < -_PIVOT_TOL
+            t_limit[inc] = np.maximum(self.upper[moving[inc]] - xb[inc], 0.0) / (-step[inc])
             t_basic = float(t_limit.min(initial=np.inf))
             span = self.upper[j] - self.lower[j]
             t = min(t_basic, span)
@@ -404,29 +408,37 @@ class _Simplex:
 
             if span <= t_basic + 1e-12 and np.isfinite(span):
                 # Bound flip: variable crosses to its other bound, basis unchanged.
-                self.x[self.basis] = xb - step_basic * span
+                self.x[moving] = xb - step * span
                 self.x[j] += sigma * span
                 self.state[j] = self.AT_UPPER if self.state[j] == self.AT_LOWER else self.AT_LOWER
+                weight[j] = -weight[j]
                 self.degenerate_run = 0
                 continue
 
-            near = np.nonzero(t_limit <= t + 1e-9 * (1.0 + abs(t)))[0]
-            r = int(near[np.argmin(self.basis[near])])
-            leaving = int(self.basis[r])
+            near = (t_limit <= t + 1e-9 * (1.0 + abs(t))).nonzero()[0]
+            leave = int(near[np.argmin(moving[near])])
+            r = int(nz[leave])
+            leaving = int(moving[leave])
 
-            self.x[self.basis] = xb - step_basic * t
+            self.x[moving] = xb - step * t
             self.x[j] += sigma * t
-            hit_lower = step_basic[r] > 0
+            hit_lower = step[leave] > 0
             self.x[leaving] = self.lower[leaving] if hit_lower else self.upper[leaving]
             self.state[leaving] = self.AT_LOWER if hit_lower else self.AT_UPPER
+            weight[leaving] = 0.0 if fixed[leaving] else (-1.0 if hit_lower else 1.0)
+            if self.state[j] == self.FREE:
+                free = free[free != j]
             self.state[j] = self.BASIC
+            weight[j] = 0.0
             self.basis[r] = j
 
+            # Rank-one update of B^-1 and y over the supports of d and of
+            # the new row r.
             row = self.b_inv[r] / d[r]
-            moved = np.nonzero(d)[0]
-            self.b_inv[moved] -= np.outer(d[moved], row)
+            cols = row.nonzero()[0]
+            self.b_inv[nz[:, None], cols] -= d[nz, None] * row[cols]
             self.b_inv[r] = row
-            self.y += z[j] * row
+            self.y[cols] += z[j] * row[cols]
             updated = True
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
@@ -458,7 +470,11 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
 
     Returns an LpSolution whose status is ``optimal`` only if the KKT
     residuals, recomputed independently of the pivot path, are within
-    1e-8. Infeasible problems carry a Farkas-type certificate.
+    1e-8; then it carries x, y and the objective. The other statuses carry
+    no x: ``infeasible`` (with a Farkas-type certificate), ``unbounded``,
+    ``iteration-limit``, and ``uncertified`` when the optimality phase
+    converged twice, the second time from a refactorized basis, to a point
+    whose residuals exceed 1e-8 (they are in ``residuals`` and ``message``).
     """
     n, m = prob.n_vars, prob.n_rows
     if max_iter is None:
@@ -520,7 +536,15 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
                 residuals=res,
                 iterations=sim.iterations,
             )
-    raise ArithmeticError(f"simplex converged but KKT residuals are {res}")
+    return LpSolution(
+        status="uncertified",
+        x=None,
+        y=None,
+        objective=None,
+        residuals=res,
+        iterations=sim.iterations,
+        message=f"simplex converged but KKT residuals are {res}",
+    )
 
 
 def build_control_lp(
@@ -650,8 +674,9 @@ def optimize_controlled_zones(
 
     Raises:
         InfeasibleControlError: when the LP ends without an optimal point
-            (infeasible, unbounded or iteration limit); carries the
-            solution, with any certificate, and the implicated time window.
+            (infeasible, unbounded, iteration limit or uncertified);
+            carries the solution, with any certificate, and the implicated
+            time window.
     """
     prob = build_control_lp(net, plan, grid, price, comfort, gains_kw, outdoor, q_min_kw, q_max_kw)
     sol = solve_lp(prob)

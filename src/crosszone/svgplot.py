@@ -101,10 +101,11 @@ def _render_panel(panel: Panel, ox: float, oy: float, out: list[str]) -> None:
     pad = 0.05 * (yhi - ylo) or 0.5
     ylo, yhi = ylo - pad, yhi + pad
 
-    def px(v: float) -> float:
+    # Pixel coordinates of a value or, elementwise, of an array of them.
+    def px(v):
         return x0 + (v - xlo) / (xhi - xlo) * w
 
-    def py(v: float) -> float:
+    def py(v):
         return y0 + h - (v - ylo) / (yhi - ylo) * h
 
     out.append(
@@ -150,7 +151,7 @@ def _render_panel(panel: Panel, ox: float, oy: float, out: list[str]) -> None:
         color = s.color or _COLORS[idx % len(_COLORS)]
         if s.x.size == 0:
             continue
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(s.x, s.y))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(s.x).tolist(), py(s.y).tolist()))
         dash = ' stroke-dasharray="5,3"' if s.dashed else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

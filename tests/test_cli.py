@@ -185,6 +185,18 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("command", ["optimize", "reproduce-example"])
+    def test_uncertified_solve_exits_three(self, tmp_path, capsys, command):
+        # A power floor of -1e12 kW multiplies rounding-level reduced costs
+        # by 1e12 in the complementarity residual, past the 1e-8 gate on
+        # both runs of the optimality phase.
+        cfg = write_config(tmp_path, power_limits={"min_kw": -1e12, "max_kw": None})
+        assert run_cli(command, "--config", cfg, "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("optimization uncertified: ")
+        assert "KKT residuals" in err
+        assert "Traceback" not in err
+
     def test_solver_status_named_on_exit_three(self, tmp_path, capsys, monkeypatch):
         stopped = LpSolution("iteration-limit", None, None, None, None, 7)
         monkeypatch.setattr("crosszone.lp.solve_lp", lambda prob: stopped)

@@ -171,6 +171,15 @@ class TestSolveLp:
         assert sol.status == retry_status
         assert sol.x is None
 
+    def test_failed_certificate_twice_is_uncertified(self, monkeypatch):
+        failing = KktResiduals(primal=1.0, dual=0.0, complementarity=0.0)
+        monkeypatch.setattr(lp_module, "kkt_residuals", lambda *args: failing)
+        sol = solve_lp(facet_lp())
+        assert sol.status == "uncertified"
+        assert sol.x is None and sol.objective is None
+        assert sol.residuals == failing
+        assert str(failing) in sol.message
+
     def test_iteration_limit_reported(self):
         sol = solve_lp(facet_lp(), max_iter=0)
         assert sol.status == "iteration-limit"
@@ -216,6 +225,43 @@ class TestSolveLp:
             assert ref.status == 0
             assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-8)
             assert sol.residuals.max() <= 1e-8
+
+    @pytest.mark.parametrize("pricing", ["default", "bland"])
+    def test_random_free_and_one_sided_match_scipy(self, monkeypatch, pricing):
+        # Some columns free, some with one infinite bound. Costs are A^T y0,
+        # for a random y0, plus a reduced cost of the sign each column's
+        # bounds allow (zero when free), so every problem is bounded.
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        if pricing == "bland":
+            monkeypatch.setattr(lp_module, "_DEGENERATE_RUN_LIMIT", -1)
+        rng = np.random.default_rng(43)
+        kinds_met = set()
+        for trial in range(25):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(m + 1, 20))
+            a = rng.uniform(-2, 2, (m, n))
+            kind = rng.choice(["box", "free", "lower", "upper"], size=n, p=[0.4, 0.2, 0.2, 0.2])
+            kinds_met.update(kind.tolist())
+            lo = rng.uniform(-3, 0, n)
+            hi = lo + rng.uniform(0.5, 4, n)
+            x0 = rng.uniform(lo, hi)
+            lo[(kind == "free") | (kind == "upper")] = -np.inf
+            hi[(kind == "free") | (kind == "lower")] = np.inf
+            reduced = rng.uniform(-1, 1, n)
+            reduced[kind == "free"] = 0.0
+            reduced[kind == "lower"] = np.abs(reduced[kind == "lower"])
+            reduced[kind == "upper"] = -np.abs(reduced[kind == "upper"])
+            c = a.T @ rng.uniform(-1, 1, m) + reduced
+            b = a @ x0
+            prob = LpProblem(c=c, a_eq=a, b_eq=b, lower=lo, upper=hi)
+            sol = solve_lp(prob)
+            bounds = [(None if np.isinf(l) else l, None if np.isinf(h) else h) for l, h in zip(lo, hi)]
+            ref = scipy_opt.linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
+            assert sol.status == "optimal"
+            assert ref.status == 0
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-8)
+            assert sol.residuals.max() <= 1e-8
+        assert kinds_met == {"box", "free", "lower", "upper"}
 
     def test_free_variable_follows_bounded_partner(self):
         # x free, tied to y in [2, 5] by an equality row.
@@ -454,6 +500,29 @@ class TestBuiltinStudyPivotPath:
         monkeypatch.setattr(lp_module.np.linalg, "inv", lambda a: calls.append(a.shape) or real_inv(a))
         assert solve_lp(prob).status == "optimal"
         assert calls == []
+
+
+class TestCoupledZonesPivotPath:
+    """Pivot counts and objective bits of coupled-zone LPs, measured with numpy 2.4.6 on x86-64."""
+
+    @pytest.mark.parametrize(
+        "case, bland_only, pivots, objective",
+        [
+            (5, False, 282, "0x1.3f0bb0572c9ddp+0"),
+            (8, False, 320, "0x1.65f394d3a7ff8p+0"),
+            (9, False, 96, "0x1.56a15f7b5ed7bp-2"),
+            (10, False, 58, "0x1.7bb1058d2a66ap+1"),
+            (5, True, 481, "0x1.3f0bb0572c9d9p+0"),
+            (8, True, 1182, "0x1.65f394d3a7fe8p+0"),
+        ],
+    )
+    def test_pivot_count_and_objective_bits(self, monkeypatch, case, bland_only, pivots, objective):
+        if bland_only:
+            monkeypatch.setattr(lp_module, "_DEGENERATE_RUN_LIMIT", -1)
+        prob = random_control_lp(np.random.default_rng([7, case]), *TestControlLpAgainstHighs.CASES[case])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert (sol.iterations, sol.objective.hex()) == (pivots, objective)
 
 
 class TestBuildControlLp:
