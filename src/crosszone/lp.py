@@ -6,13 +6,20 @@ their sub-network dynamics (equality rows), fixed start and end
 temperatures at the baseline setpoints, nonnegative heating power, and a
 per-step comfort band around the setpoint.
 
-Problems are solved by a self-contained revised simplex over bounded
-variables (two phases). The constraint matrix is kept as sparse columns of
-its nonzeros and the artificial columns are implicit; the basis inverse is
-dense and explicit, updated per pivot and refactorized periodically by
-triangular substitution over the basis's column singletons plus a dense
-inverse of the kernel they leave (Hellerman & Rarick, "Reinversion with the
-preassigned pivot procedure", Math. Programming 1, 1971). The duals are
+An LP keeps its equality matrix as column-ordered triplets of its nonzeros,
+from ``build_control_lp`` through the solver and the certificates; a dense
+copy is built only when ``LpProblem.a_eq`` is read. Problems are solved by a
+self-contained revised simplex over bounded variables (two phases), whose
+artificial columns are implicit. The basis inverse is dense and explicit,
+updated per pivot and refactorized periodically by triangular substitution
+over the basis's column singletons (Hellerman & Rarick, "Reinversion with
+the preassigned pivot procedure", Math. Programming 1, 1971). The kernel
+they leave is inverted by its block triangular form: a maximum transversal
+(Duff, "On algorithms for obtaining a maximum transversal", ACM TOMS 7,
+1981), then Tarjan's strongly connected components of the matched graph
+(Duff & Reid, "An implementation of Tarjan's algorithm for the block
+triangularization of a matrix", ACM TOMS 4, 1978), so LAPACK sees only the
+diagonal blocks. The duals are
 updated per pivot from the new row of the inverse and recomputed exactly at
 each refactor and at the end of each phase. Pivot column d = B^-1 a_j and
 the new row of the inverse are hyper-sparse (Hall & McKinnon, "Hyper-sparsity
@@ -91,41 +98,64 @@ class ComfortSchedule:
         return cls(delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LpProblem:
-    """min c.x subject to a_eq x = b_eq and lower <= x <= upper.
+    """min c.x subject to A x = b_eq and lower <= x <= upper.
 
-    Bounds may be infinite. ``names`` labels each column for diagnostics.
+    A is given dense as ``a_eq`` or as its nonzeros ``nonzeros=(row, col,
+    val)`` with no (row, col) pair repeated. It is stored as column-ordered
+    triplets of its nonzeros (``row``, ``col``, ``val``, sorted by column,
+    then row); ``a_eq`` builds the dense matrix on each access. Bounds may
+    be infinite. ``names`` labels each column for diagnostics.
     """
 
     c: np.ndarray
-    a_eq: np.ndarray
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    names: tuple[str, ...] = ()
+    names: tuple[str, ...]
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        n = c.shape[0]
-        if a.shape != (b.shape[0], n):
-            raise ValueError(f"a_eq shape {a.shape} inconsistent with {b.shape[0]} rows, {n} cols")
+    def __init__(self, c, a_eq=None, b_eq=None, lower=None, upper=None, names=(), *, nonzeros=None):
+        if (a_eq is None) == (nonzeros is None) or b_eq is None or lower is None or upper is None:
+            raise TypeError("give c, b_eq, lower, upper and exactly one of a_eq and nonzeros")
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        lo = np.atleast_1d(np.asarray(lower, dtype=float))
+        hi = np.atleast_1d(np.asarray(upper, dtype=float))
+        m, n = b.shape[0], c.shape[0]
+        if nonzeros is None:
+            a = np.atleast_2d(np.asarray(a_eq, dtype=float))
+            if a.shape != (m, n):
+                raise ValueError(f"a_eq shape {a.shape} inconsistent with {m} rows, {n} cols")
+            col, row = np.nonzero(a.T)
+            val = a[row, col]
+        else:
+            row, col = (np.asarray(v, dtype=np.intp).ravel() for v in nonzeros[:2])
+            val = np.asarray(nonzeros[2], dtype=float).ravel()
+            if not row.shape == col.shape == val.shape:
+                raise ValueError("nonzeros need one row, col and val per entry")
+            keep = val != 0.0
+            order = np.lexsort((row[keep], col[keep]))
+            row, col, val = row[keep][order], col[keep][order], val[keep][order]
+            if np.any((row < 0) | (row >= m) | (col < 0) | (col >= n)):
+                raise ValueError(f"nonzeros outside the {m} x {n} matrix")
+            if np.any((np.diff(col) == 0) & (np.diff(row) == 0)):
+                raise ValueError("nonzeros repeat a (row, col) pair")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match the number of variables")
         if not np.all(np.isfinite(c)):
             raise ValueError("cost vector must be finite")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(b))):
             raise ValueError("equality data must be finite")
-        names = tuple(self.names) if self.names else tuple(f"x{j}" for j in range(n))
+        names = tuple(names) if names else tuple(f"x{j}" for j in range(n))
         if len(names) != n:
             raise ValueError("names length mismatch")
-        for name, arr in (("c", c), ("a_eq", a), ("b_eq", b), ("lower", lo), ("upper", hi)):
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "names", names)
+        fields = {"c": c, "b_eq": b, "lower": lo, "upper": hi, "names": names, "row": row, "col": col, "val": val}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -134,6 +164,21 @@ class LpProblem:
     @property
     def n_rows(self) -> int:
         return self.b_eq.shape[0]
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        """A as a dense array, built on each access."""
+        a = np.zeros((self.n_rows, self.n_vars))
+        a[self.row, self.col] = self.val
+        return a
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=self.n_rows)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y."""
+        return np.bincount(self.col, weights=self.val * y[self.row], minlength=self.n_vars)
 
 
 @dataclass(frozen=True)
@@ -179,7 +224,7 @@ def kkt_residuals(prob: LpProblem, x: np.ndarray, y: np.ndarray) -> KktResiduals
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo, hi = prob.lower, prob.upper
-    r_eq = prob.a_eq @ x - prob.b_eq
+    r_eq = prob.matvec(x) - prob.b_eq
     below = np.where(np.isfinite(lo), np.maximum(lo - x, 0.0), 0.0)
     above = np.where(np.isfinite(hi), np.maximum(x - hi, 0.0), 0.0)
     primal_scale = 1.0 + max(
@@ -187,7 +232,7 @@ def kkt_residuals(prob: LpProblem, x: np.ndarray, y: np.ndarray) -> KktResiduals
     )
     primal = max(float(np.abs(r_eq).max(initial=0.0)), float(below.max(initial=0.0)), float(above.max(initial=0.0)))
 
-    z = prob.c - prob.a_eq.T @ y
+    z = prob.c - prob.rmatvec(y)
     lo_inf = ~np.isfinite(lo)
     hi_inf = ~np.isfinite(hi)
     dual_viol = np.zeros_like(z)
@@ -212,12 +257,179 @@ def kkt_residuals(prob: LpProblem, x: np.ndarray, y: np.ndarray) -> KktResiduals
     )
 
 
+def _block_triangular_inverse(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense inverse X of the p x p matrix M with these nonzeros, no pair repeated.
+
+    Returns (y, order) with X[order] = y: the rows of X in block order.
+
+    A maximum transversal matches each column j to a row r(j) by
+    depth-first augmenting paths from a greedy start (Duff, "On algorithms
+    for obtaining a maximum transversal", ACM TOMS 7, 1981). The strongly
+    connected components of the graph with an edge j -> j' for each entry
+    (r(j), j') are the diagonal blocks of M's block triangular form
+    (Tarjan's algorithm; Duff & Reid, "An implementation of Tarjan's
+    algorithm for the block triangularization of a matrix", ACM TOMS 4,
+    1978). Each block is leveled one above the highest block it reaches, so
+    the rows of X = M^-1 are filled a level at a time, sinks first:
+    X[C] = M[r(C), C]^-1 (E[r(C)] - M[r(C), C'] X[C']) over the columns C'
+    of lower levels. The diagonal blocks larger than 1 x 1 are inverted with
+    one ``np.linalg.inv`` call per size, and the 1 x 1 blocks divide. No
+    perfect matching, or a singular diagonal block, raises
+    ``np.linalg.LinAlgError``.
+    """
+
+    def grouped(key, value):
+        """The entries' values grouped by key, as p lists."""
+        by_key = np.lexsort((value, key))
+        ends = np.searchsorted(key[by_key], np.arange(p + 1)).tolist()
+        flat = value[by_key].tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+    col_rows = grouped(cols, rows)
+    row_of, col_of = [-1] * p, [-1] * p
+    for j in range(p):
+        for i in col_rows[j]:
+            if col_of[i] < 0:
+                row_of[j], col_of[i] = i, j
+                break
+    seen = [-1] * p
+    for j0 in range(p):
+        if row_of[j0] >= 0:
+            continue
+        # path[t] reaches path[t + 1] through row via[t], matched to it.
+        path, via, todo = [j0], [], [iter(col_rows[j0])]
+        while todo and len(via) < len(path):
+            for i in todo[-1]:
+                if seen[i] != j0:
+                    seen[i] = j0
+                    via.append(i)
+                    if col_of[i] >= 0:
+                        path.append(col_of[i])
+                        todo.append(iter(col_rows[col_of[i]]))
+                    break
+            else:
+                todo.pop()
+                path.pop()
+                if via:
+                    via.pop()
+        if not path:
+            raise np.linalg.LinAlgError("Singular matrix")  # structurally: no perfect matching
+        for j, i in zip(path, via):
+            row_of[j], col_of[i] = i, j
+
+    row_cols = grouped(rows, cols)
+    succ = [row_cols[i] for i in row_of]
+    # Tarjan's algorithm, iterative. need[v] is one above the highest level
+    # of the finished blocks v reaches; a block's level is its members' max.
+    index, low, need, comp, level = [0] * p, [0] * p, [0] * p, [-1] * p, []
+    stack, count = [], 0
+    for root in range(p):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+                else:
+                    need[v] = max(need[v], level[comp[w]] + 1)
+            else:
+                calls.pop()
+                if low[v] == index[v]:
+                    top = 0
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(level)
+                        top = max(top, need[w])
+                        if w == v:
+                            break
+                    level.append(top)
+                if calls:
+                    u = calls[-1][0]
+                    if comp[v] < 0:
+                        low[u] = min(low[u], low[v])
+                    else:
+                        need[u] = max(need[u], level[comp[v]] + 1)
+
+    # Row t of y is row order[t] of X: each level, and each run of blocks of
+    # one size within it, is a contiguous slice of y.
+    comp, col_of = np.array(comp), np.array(col_of)
+    col_level = np.array(level)[comp]
+    col_size = np.bincount(comp)[comp]
+    order = np.lexsort((comp, col_size, col_level))
+    rank = np.empty(p, dtype=int)
+    rank[order] = np.arange(p)
+    n_levels = int(col_level.max()) + 1
+    level_cut = np.searchsorted(col_level[order], np.arange(n_levels + 1))
+    key = col_level[order] * (p + 1) + col_size[order]
+    group_cut = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    group_size = col_size[order[group_cut[:-1]]]
+
+    owner = col_of[rows]  # the column matched to each entry's row; its row of y holds that row's equation
+    inside = comp[owner] == comp[cols]
+    # Diagonal blocks of each group, flat as (block, row, column) of the block.
+    e = np.flatnonzero(inside)
+    e_group = np.searchsorted(group_cut, rank[cols[e]], side="right") - 1
+    first, size = group_cut[e_group], group_size[e_group]
+    d_start = np.concatenate([[0], np.cumsum(np.diff(group_cut) * group_size)])
+    diag = np.zeros(d_start[-1])
+    diag[d_start[e_group] + (rank[owner[e]] - first) * size + (rank[cols[e]] - first) % size] = vals[e]
+    # Blocks of more than one row are inverted up front, one call per size.
+    flat_size = np.repeat(group_size, np.diff(d_start))
+    for s in np.unique(group_size[group_size > 1]).tolist():
+        sel = flat_size == s
+        diag[sel] = np.linalg.inv(diag[sel].reshape(-1, s, s)).ravel()
+    # Off-block entries of each level, flat as a (level rows, distinct source rows) matrix.
+    o = np.flatnonzero(~inside)
+    o_level = col_level[owner[o]]
+    src, src_at = np.unique(o_level * p + rank[cols[o]], return_inverse=True)
+    src_cut = np.searchsorted(src, np.arange(n_levels + 1) * p)
+    n_src = np.diff(src_cut)
+    s_start = np.concatenate([[0], np.cumsum(np.diff(level_cut) * n_src)])
+    coupling = np.zeros(s_start[-1])
+    at = (rank[owner[o]] - level_cut[o_level]) * n_src[o_level] + src_at - src_cut[o_level]
+    coupling[s_start[o_level] + at] = vals[o]
+    src %= p
+
+    y = np.zeros((p, p))
+    y[rank[col_of], np.arange(p)] = 1.0
+    level_cut, group_cut, group_size = level_cut.tolist(), group_cut.tolist(), group_size.tolist()
+    src_cut, s_start, d_start = src_cut.tolist(), s_start.tolist(), d_start.tolist()
+    g = 0
+    for lv in range(n_levels):
+        a, b = level_cut[lv], level_cut[lv + 1]
+        if src_cut[lv + 1] > src_cut[lv]:
+            sources = y[src[src_cut[lv] : src_cut[lv + 1]]]
+            y[a:b] -= coupling[s_start[lv] : s_start[lv + 1]].reshape(b - a, -1) @ sources
+        while g < len(group_size) and group_cut[g] < b:
+            s, rhs = group_size[g], y[group_cut[g] : group_cut[g + 1]]
+            block = diag[d_start[g] : d_start[g + 1]].reshape(-1, s, s)
+            if s == 1:
+                rhs /= block.reshape(-1, 1)
+            else:
+                rhs[:] = (block @ rhs.reshape(-1, s, p)).reshape(-1, p)
+            g += 1
+    return y, order
+
+
 class _Simplex:
     """Bounded-variable revised simplex over [A | S], S = diag(sign) the artificials.
 
-    A is held as column-ordered triplets of its nonzeros (``row``, ``col``,
-    ``val``, column pointer ``col_start``); artificial column n + i is
-    ``sign[i] * e_i`` and is never stored. The basis inverse is dense.
+    A is read from the problem's column-ordered triplets (``row``, ``col``,
+    ``val``, plus the column pointer ``col_start``); artificial column n + i
+    is ``sign[i] * e_i`` and is never stored. The basis inverse is dense.
     """
 
     AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, -1
@@ -225,13 +437,13 @@ class _Simplex:
     def __init__(self, prob: LpProblem):
         m, n = prob.n_rows, prob.n_vars
         self.m, self.n = m, n
-        self.col, self.row = np.nonzero(prob.a_eq.T)
-        self.val = prob.a_eq[self.row, self.col]
+        self.prob = prob
+        self.row, self.col, self.val = prob.row, prob.col, prob.val
         self.col_start = np.searchsorted(self.col, np.arange(n + 1))
         x0 = np.where(
             np.isfinite(prob.lower), prob.lower, np.where(np.isfinite(prob.upper), prob.upper, 0.0)
         )
-        resid = prob.b_eq - prob.a_eq @ x0
+        resid = prob.b_eq - prob.matvec(x0)
         self.sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.b = prob.b_eq
         self.lower = np.concatenate([prob.lower, np.zeros(m)])
@@ -253,13 +465,11 @@ class _Simplex:
 
     def _price(self, y: np.ndarray) -> np.ndarray:
         """[A | S]^T y."""
-        return np.concatenate(
-            [np.bincount(self.col, weights=self.val * y[self.row], minlength=self.n), self.sign * y]
-        )
+        return np.concatenate([self.prob.rmatvec(y), self.sign * y])
 
     def _times(self, v: np.ndarray) -> np.ndarray:
         """[A | S] v."""
-        return np.bincount(self.row, weights=self.val * v[self.col], minlength=self.m) + self.sign * v[self.n :]
+        return self.prob.matvec(v) + self.sign * v[self.n :]
 
     def _column(self, j: int) -> np.ndarray:
         """B^-1 times column j of [A | S]."""
@@ -286,10 +496,10 @@ class _Simplex:
 
         Columns with a single entry outside the rows already taken are
         peeled off in rounds; ordered by round, they make B block upper
-        triangular over the kernel left at the end, which alone is
-        inverted densely. The rows of B^-1 are then filled by back
-        substitution from the kernel to the first round. A singular basis
-        raises ``np.linalg.LinAlgError``.
+        triangular over the kernel left at the end, which
+        ``_block_triangular_inverse`` inverts. The rows of B^-1 are then
+        filled by back substitution from the kernel to the first round. A
+        singular basis raises ``np.linalg.LinAlgError``.
         """
         m = self.m
         rows, cols, vals = self._basis_triplets()
@@ -318,21 +528,27 @@ class _Simplex:
             at_row, at_col = np.empty(m, dtype=int), np.empty(m, dtype=int)
             at_row[kernel_rows] = np.arange(kernel_rows.size)
             at_col[kernel_cols] = np.arange(kernel_cols.size)
-            kernel = np.zeros((kernel_rows.size, kernel_cols.size))
-            kernel[at_row[rows[live]], at_col[cols[live]]] = vals[live]
-            self.b_inv = None  # no row of the old inverse is read: free it before LAPACK's buffers
-            kernel = np.linalg.inv(kernel)
+            self.b_inv = None  # no row of the old inverse is read: free it first
+            kernel, order = _block_triangular_inverse(
+                at_row[rows[live]], at_col[cols[live]], vals[live], kernel_rows.size
+            )
             self.b_inv = np.zeros((m, m))
-            self.b_inv[np.ix_(kernel_cols, kernel_rows)] = kernel
+            if kernel_rows.size == m:  # nothing was peeled: a row scatter is far cheaper
+                self.b_inv[order] = kernel
+            else:
+                self.b_inv[np.ix_(kernel_cols[order], kernel_rows)] = kernel
 
         # Row r of B X = I, for the column c pivoting on it, reads
         # X[c] = (e_r - sum of B[r, c'] X[c'] over columns c' of later rounds
         # and the kernel) / B[r, c]; earlier rounds have no entry in row r.
+        by_round = np.nonzero(~pivot & (row_round[rows] >= 0))[0]
+        by_round = by_round[np.argsort(row_round[rows[by_round]], kind="stable")]
+        cut = np.searchsorted(row_round[rows[by_round]], np.arange(len(rounds) + 1))
         for t in range(len(rounds) - 1, -1, -1):
             r, c, v = rounds[t]
             self.b_inv[c] = 0.0
             self.b_inv[c, r] = 1.0
-            off = np.nonzero(~pivot & (row_round[rows] == t))[0]
+            off = by_round[cut[t] : cut[t + 1]]
             off = off[np.argsort(rows[off], kind="stable")]
             slot = np.arange(off.size) - np.searchsorted(rows[off], rows[off])  # rank within its row
             # One entry per row at a time, so no row repeats within a scatter.
@@ -451,7 +667,7 @@ class _Simplex:
 def _farkas(sim: _Simplex, prob: LpProblem) -> FarkasCertificate:
     """Row-pricing certificate from the optimal feasibility-phase duals."""
     y = sim.y.copy()
-    aty = prob.a_eq.T @ y
+    aty = prob.rmatvec(y)
     aty[np.abs(aty) <= _KKT_TOL * (1.0 + np.abs(aty).max(initial=0.0))] = 0.0
     upper = np.where(np.isfinite(prob.upper), prob.upper, 0.0)
     lower = np.where(np.isfinite(prob.lower), prob.lower, 0.0)
@@ -584,7 +800,6 @@ def build_control_lp(
     affine = w_sub @ sub.gamma_q.T + np.outer(t0, sub.gamma_0)
 
     n_temp = mz * (k + 1)
-    n_vars = n_temp + mz * k
 
     def t_var(pos, step):
         return pos * (k + 1) + step
@@ -593,19 +808,23 @@ def build_control_lp(
         return n_temp + pos * k + step
 
     n_rows = mz * k + 2 * mz
-    a_eq = np.zeros((n_rows, n_vars))
     b_eq = np.zeros(n_rows)
     # Row step * mz + pos: T_pos(step + 1) - phi[pos] . T(step) - gamma_q[pos] . q(step) = affine[step, pos].
     zones = np.arange(mz)
     step, pos, pos2 = np.ix_(np.arange(k), zones, zones)
     row = step * mz + pos
-    a_eq[row, t_var(pos, step + 1)] = 1.0
-    a_eq[row, t_var(pos2, step)] -= sub.phi
-    a_eq[row, q_var(pos2, step)] -= sub.gamma_q
+    coupled = np.broadcast_to(row, (k, mz, mz))
     b_eq[: mz * k] = affine.ravel()
     ends = mz * k + 2 * zones
-    a_eq[ends, t_var(zones, 0)] = 1.0
-    a_eq[ends + 1, t_var(zones, k)] = 1.0
+    # (rows, cols, values) of each block of nonzeros, broadcast to the rows' shape.
+    blocks = [
+        (row, t_var(pos, step + 1), 1.0),
+        (coupled, t_var(pos2, step), -sub.phi),
+        (coupled, q_var(pos2, step), -sub.gamma_q),
+        (ends, t_var(zones, 0), 1.0),
+        (ends + 1, t_var(zones, k), 1.0),
+    ]
+    nonzeros = [np.concatenate([np.broadcast_to(b[i], b[0].shape).ravel() for b in blocks]) for i in range(3)]
     sp = plan.setpoints_c[np.asarray(ctrl) - 1]
     b_eq[mz * k :] = np.repeat(sp, 2)
 
@@ -618,7 +837,7 @@ def build_control_lp(
         names.extend(f"T{zone}[{step}]" for step in range(k + 1))
     for zone in ctrl:
         names.extend(f"q{zone}[{step}]" for step in range(k))
-    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper, names=tuple(names))
+    return LpProblem(c=c, b_eq=b_eq, lower=lower, upper=upper, names=tuple(names), nonzeros=nonzeros)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """LP solver, control-problem assembly, and optimizer properties."""
 
 import dataclasses
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from crosszone import lp as lp_module
 from crosszone.cli import _prepare_inputs
 from crosszone.config import default_config
+from crosszone.dynamics import controlled_subsystem
 from crosszone.lp import (
     ComfortSchedule,
     InfeasibleControlError,
@@ -21,7 +24,19 @@ from crosszone.lp import (
 )
 from crosszone.model import Signal, ThermalNetwork, TimeGrid
 from conftest import piecewise_constant_price, random_network
-from crosszone.scenario import SetpointPlan, WeatherSeries, run_baseline, run_experiment
+from crosszone.scenario import (
+    CopCurve,
+    GainSpec,
+    SetpointPlan,
+    Tariff,
+    TariffPeriod,
+    WeatherSeries,
+    run_baseline,
+    run_experiment,
+    synthesize_gains,
+    synthetic_weather,
+    thermal_price,
+)
 
 
 def small_cfg(steps=96):
@@ -346,8 +361,8 @@ class TestSparseStorage:
                 np.testing.assert_allclose(sim._column(j), sim.b_inv @ full[:, j], rtol=0, atol=1e-13)
 
 
-def random_control_lp(rng, m, k, dt_h=0.25, zero_band=False):
-    """Control LP on a random 3-6-zone network with equal setpoints.
+def random_control_inputs(rng, m, k, dt_h=0.25, zero_band=False):
+    """``build_control_lp`` arguments for a random 3-6-zone network with equal setpoints.
 
     The outdoors stays below the setpoint and each zone's gains stay under
     its outdoor loss, so holding every zone at its setpoint is feasible
@@ -361,13 +376,21 @@ def random_control_lp(rng, m, k, dt_h=0.25, zero_band=False):
     gains = rng.uniform(0.0, 0.5, (k, n)) * net.conductances_kw_per_c[1:, 0] * 21.0
     band = np.zeros(k) if zero_band else rng.uniform(0.5, 2.0, k)
     price = piecewise_constant_price(rng, k)
-    return build_control_lp(net, plan, TimeGrid(dt_h, k), price, ComfortSchedule(band), gains, outdoor)
+    return net, plan, TimeGrid(dt_h, k), price, ComfortSchedule(band), gains, outdoor
+
+
+def random_control_lp(rng, m, k, dt_h=0.25, zero_band=False):
+    """Control LP of ``random_control_inputs``."""
+    return build_control_lp(*random_control_inputs(rng, m, k, dt_h, zero_band))
 
 
 class TestControlLpAgainstHighs:
     CASES = [(m, k, 0.25, False) for m in (1, 2, 3) for k in (24, 48, 96)] + [
         (2, 48, 0.25, True),  # zero band: every temperature fixed, degenerate pivots
         (2, 24, 4.0, False),  # stiff: 4 h steps
+        (2, 24, 8.0, False),  # stiffer: 8, 24 and 12 h steps
+        (3, 24, 24.0, False),
+        (3, 48, 12.0, False),
     ]
 
     @pytest.mark.parametrize(
@@ -418,13 +441,16 @@ class TestRefactor:
         assert solve_lp(prob).status == "optimal"
         return met
 
-    @pytest.mark.parametrize("case", ["builtin-study", "6-zone-3-controlled"])
+    @pytest.mark.parametrize("case", ["builtin-study", "6-zone-3-controlled", "6-zone-3-controlled-K96"])
     def test_bases_met_while_solving(self, monkeypatch, case):
         if case == "builtin-study":
             prob = builtin_study_lp()
-        else:
+        elif case == "6-zone-3-controlled":
             prob = random_control_lp(np.random.default_rng([11, 5]), 3, 48)
             assert prob.a_eq.shape == (150, 291)
+        else:
+            prob = random_control_lp(np.random.default_rng([11, 5]), 3, 96)
+            assert prob.a_eq.shape == (294, 579)
         met = self.bases_met(monkeypatch, prob)
         assert len(met) >= 3
         for basis_mat, b_inv in met:
@@ -464,6 +490,124 @@ class TestRefactor:
         sim.basis = np.array([0, 1])
         with pytest.raises(np.linalg.LinAlgError):
             sim.refactor()
+
+
+def multizone_mpc_lps(seed):
+    """The five control LPs of perfbench's multizone-mpc workload at this seed."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = np.random.default_rng([seed, 2])
+    lps = []
+    for _ in range(5):
+        case = inputs.multizone_case(rng)
+        grid = TimeGrid(inputs.DT_H, case["steps"])
+        weather = synthetic_weather(grid)
+        gains = synthesize_gains(
+            GainSpec(0.25, 0.01, 0.01, 0.10, case["gain_seed"]), weather, case["exterior_wall_m2"], case["floor_m2"]
+        )
+        tariff = Tariff(tuple(TariffPeriod(*period) for period in case["tariff"]))
+        price = thermal_price(tariff, CopCurve(-15.0, 1.8, 8.3, 3.3, 1.0), weather.outdoor, grid)
+        comfort = ComfortSchedule.from_bands(grid, inputs.TIGHT_BAND_C, inputs.WIDE_BAND_C, list(inputs.TIGHT_WINDOWS))
+        net = ThermalNetwork(case["caps"], case["alpha"])
+        plan = SetpointPlan(case["setpoints"], case["controlled"])
+        lps.append(build_control_lp(net, plan, grid, price, comfort, gains, weather.outdoor))
+    return lps
+
+
+class TestBlockTriangularInverse:
+    """The kernel's inverse by blocks against ``np.linalg.inv`` of the dense matrix."""
+
+    @staticmethod
+    def lapack_shapes(monkeypatch):
+        """Record the shape of every matrix given to ``np.linalg.inv`` or ``solve``."""
+        shapes = []
+        for name in ("inv", "solve"):
+
+            def record(a, *rest, real=getattr(np.linalg, name)):
+                shapes.append(a.shape)
+                return real(a, *rest)
+
+            monkeypatch.setattr(lp_module.np.linalg, name, record)
+        return shapes
+
+    def test_random_permuted_block_triangular(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        real_inv = np.linalg.inv
+        shapes = self.lapack_shapes(monkeypatch)
+        for _ in range(30):
+            sizes = rng.integers(1, 41, size=int(rng.integers(1, 9)))
+            p = int(sizes.sum())
+            mat = np.zeros((p, p))
+            ends = np.cumsum(sizes)
+            for s, end in zip(sizes, ends):
+                start = end - s
+                mat[start:end, start:end] = rng.uniform(-1, 1, (s, s)) * (rng.random((s, s)) < 0.3) + 4.0 * np.eye(s)
+                mat[start:end, end:] = rng.uniform(-1, 1, (s, p - end)) * (rng.random((s, p - end)) < 0.05)
+            mat = mat[rng.permutation(p)][:, rng.permutation(p)]
+            rows, cols = np.nonzero(mat)
+            shapes.clear()
+            y, order = lp_module._block_triangular_inverse(rows, cols, mat[rows, cols], p)
+            assert max((shape[-1] for shape in shapes), default=1) <= sizes.max()
+            got = np.empty_like(y)
+            got[order] = y
+            ref = real_inv(mat)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_no_perfect_matching_raises(self):
+        # Columns 0 and 1 have their only entries in row 0.
+        rows, cols = np.array([0, 0, 1, 2]), np.array([0, 1, 2, 2])
+        with pytest.raises(np.linalg.LinAlgError):
+            lp_module._block_triangular_inverse(rows, cols, np.ones(4), 3)
+
+    def test_singular_diagonal_block_raises(self):
+        # A 1 x 1 block above the singular 2 x 2 block [[1, 2], [2, 4]].
+        mat = np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
+        rows, cols = np.nonzero(mat)
+        with pytest.raises(np.linalg.LinAlgError):
+            lp_module._block_triangular_inverse(rows, cols, mat[rows, cols], 3)
+
+    def test_multizone_lapack_calls_stay_within_blocks(self, monkeypatch):
+        """No LAPACK call while planning sees more than the kernel's largest diagonal block.
+
+        The blocks are found independently: a zero-cost assignment on the
+        nonzeros is a perfect matching, and scipy's strongly connected
+        components of the matched graph are the blocks.
+        """
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+
+        def largest_block(rows, cols, p):
+            cost = np.ones((p, p))
+            cost[rows, cols] = 0.0
+            row, col = scipy_opt.linear_sum_assignment(cost)
+            assert cost[row, col].sum() == 0.0
+            matched_row = np.empty(p, dtype=int)
+            matched_row[col] = row
+            mat = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(p, p))
+            _, label = csgraph.connected_components(mat[matched_row], directed=True, connection="strong")
+            return int(np.bincount(label).max())
+
+        lps = multizone_mpc_lps(3)
+        shapes = self.lapack_shapes(monkeypatch)
+        kernels = []  # (rows, largest diagonal block, largest LAPACK matrix)
+        real = lp_module._block_triangular_inverse
+
+        def block_inverse(rows, cols, vals, p):
+            assert not shapes  # nothing else in the solve calls LAPACK
+            inverse = real(rows, cols, vals, p)
+            kernels.append((p, largest_block(rows, cols, p), max((shape[-1] for shape in shapes), default=1)))
+            shapes.clear()
+            return inverse
+
+        monkeypatch.setattr(lp_module, "_block_triangular_inverse", block_inverse)
+        for prob in lps:
+            assert solve_lp(prob).status == "optimal"
+        assert not shapes
+        assert max(p for p, _, _ in kernels) == 582
+        for p, block, lapack in kernels:
+            assert lapack <= block
 
 
 class TestBuiltinStudyPivotPath:
@@ -508,8 +652,8 @@ class TestCoupledZonesPivotPath:
     @pytest.mark.parametrize(
         "case, bland_only, pivots, objective",
         [
-            (5, False, 282, "0x1.3f0bb0572c9ddp+0"),
-            (8, False, 320, "0x1.65f394d3a7ff8p+0"),
+            (5, False, 282, "0x1.3f0bb0572c9d7p+0"),
+            (8, False, 320, "0x1.65f394d3a7feap+0"),
             (9, False, 96, "0x1.56a15f7b5ed7bp-2"),
             (10, False, 58, "0x1.7bb1058d2a66ap+1"),
             (5, True, 481, "0x1.3f0bb0572c9d9p+0"),
@@ -523,6 +667,111 @@ class TestCoupledZonesPivotPath:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert (sol.iterations, sol.objective.hex()) == (pivots, objective)
+
+
+def dense_control_matrix(net, plan, grid, gains):
+    """The control LP's equality matrix, assembled entry by entry."""
+    k, mz = grid.steps, plan.m
+    sub, _ = controlled_subsystem(net, grid, plan.controlled, plan.setpoints_c, gains)
+    n_temp = mz * (k + 1)
+    a = np.zeros((mz * k + 2 * mz, n_temp + mz * k))
+    for step in range(k):
+        for pos in range(mz):
+            row = step * mz + pos
+            a[row, pos * (k + 1) + step + 1] = 1.0
+            for pos2 in range(mz):
+                a[row, pos2 * (k + 1) + step] -= sub.phi[pos, pos2]
+                a[row, n_temp + pos2 * k + step] -= sub.gamma_q[pos, pos2]
+    for pos in range(mz):
+        a[mz * k + 2 * pos, pos * (k + 1)] = 1.0
+        a[mz * k + 2 * pos + 1, pos * (k + 1) + k] = 1.0
+    return a
+
+
+class TestLpProblemNonzeros:
+    """The equality matrix kept as its nonzeros."""
+
+    def test_nonzeros_sorted_by_column_with_zeros_dropped(self):
+        prob = LpProblem(
+            c=[0.0, 0.0, 0.0],
+            b_eq=[1.0, 2.0],
+            lower=np.zeros(3),
+            upper=np.ones(3),
+            nonzeros=([1, 0, 1, 0], [2, 2, 0, 1], [5.0, 0.0, -1.0, 3.0]),
+        )
+        assert (prob.row.tolist(), prob.col.tolist(), prob.val.tolist()) == ([1, 0, 1], [0, 1, 2], [-1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(prob.a_eq, [[0.0, 3.0, 0.0], [-1.0, 0.0, 5.0]])
+
+    @pytest.mark.parametrize(
+        "nonzeros, match",
+        [
+            (([0, 0], [1, 1], [1.0, 2.0]), "repeat"),
+            (([2], [0], [1.0]), "outside"),
+            (([-1], [0], [1.0]), "outside"),
+            (([0], [3], [1.0]), "outside"),
+            (([0], [0], [np.inf]), "finite"),
+        ],
+        ids=["repeated-pair", "row-past-end", "negative-row", "col-past-end", "infinite"],
+    )
+    def test_bad_nonzeros_rejected(self, nonzeros, match):
+        with pytest.raises(ValueError, match=match):
+            LpProblem(c=np.zeros(3), b_eq=np.zeros(2), lower=np.zeros(3), upper=np.ones(3), nonzeros=nonzeros)
+
+    def test_exactly_one_matrix_form(self):
+        box = dict(c=[0.0], b_eq=[1.0], lower=[0.0], upper=[1.0])
+        with pytest.raises(TypeError):
+            LpProblem(**box)
+        with pytest.raises(TypeError):
+            LpProblem(**box, a_eq=[[1.0]], nonzeros=([0], [0], [1.0]))
+
+    @pytest.mark.parametrize("m, k", [(1, 4), (3, 24)])
+    def test_control_matrix_matches_dense_assembly(self, m, k):
+        net, plan, grid, price, comfort, gains, outdoor = random_control_inputs(np.random.default_rng([13, m]), m, k)
+        prob = build_control_lp(net, plan, grid, price, comfort, gains, outdoor)
+        assert np.all(prob.val != 0.0)
+        np.testing.assert_array_equal(prob.a_eq, dense_control_matrix(net, plan, grid, gains))
+
+    def test_dense_and_nonzero_input_solve_alike(self):
+        prob = random_control_lp(np.random.default_rng([7, 8]), *TestControlLpAgainstHighs.CASES[8])
+        dense = LpProblem(prob.c, prob.a_eq, prob.b_eq, prob.lower, prob.upper, prob.names)
+        for name in ("row", "col", "val"):
+            np.testing.assert_array_equal(getattr(dense, name), getattr(prob, name))
+        ours, theirs = solve_lp(prob), solve_lp(dense)
+        assert ours.status == "optimal" and ours.iterations == theirs.iterations
+        np.testing.assert_array_equal(ours.x, theirs.x)
+        np.testing.assert_array_equal(ours.y, theirs.y)
+
+    @staticmethod
+    def dense_products(monkeypatch):
+        monkeypatch.setattr(LpProblem, "matvec", lambda prob, x: prob.a_eq @ x)
+        monkeypatch.setattr(LpProblem, "rmatvec", lambda prob, y: prob.a_eq.T @ y)
+
+    @pytest.mark.parametrize("case", [5, 8, 10])
+    def test_kkt_residuals_match_dense_products(self, monkeypatch, case):
+        prob = random_control_lp(np.random.default_rng([7, case]), *TestControlLpAgainstHighs.CASES[case])
+        sol = solve_lp(prob)
+        rng = np.random.default_rng(case)
+        points = [(sol.x, sol.y), (sol.x + rng.normal(0, 0.1, prob.n_vars), sol.y + rng.normal(0, 1, prob.n_rows))]
+        ours = [kkt_residuals(prob, x, y) for x, y in points]
+        self.dense_products(monkeypatch)
+        for res, (x, y) in zip(ours, points):
+            ref = kkt_residuals(prob, x, y)
+            for name in ("primal", "dual", "complementarity"):
+                assert abs(getattr(res, name) - getattr(ref, name)) <= 1e-15 * max(1.0, getattr(ref, name))
+
+    def test_farkas_matches_dense_products(self, monkeypatch):
+        net, plan, grid, price, comfort, gains, outdoor = random_control_inputs(np.random.default_rng([7, 5]), 2, 48)
+        prob = build_control_lp(net, plan, grid, price, comfort, gains, outdoor, q_min_kw=0.0, q_max_kw=0.0)
+        met = []
+        real = lp_module._farkas
+        monkeypatch.setattr(lp_module, "_farkas", lambda sim, p: met.append(sim) or real(sim, p))
+        sol = solve_lp(prob)
+        assert sol.status == "infeasible" and len(met) == 1
+        self.dense_products(monkeypatch)
+        ref = real(met[0], prob)
+        np.testing.assert_array_equal(sol.certificate.y, ref.y)
+        assert sol.certificate.gap > 0
+        assert abs(sol.certificate.gap - ref.gap) <= 1e-15 * ref.gap
 
 
 class TestBuildControlLp:
@@ -686,6 +935,16 @@ class TestOptimizeControlledZones:
         assert opt.q_kw.max() <= cap + 1e-9
         assert opt.q_kw.min() >= -1e-9
         assert opt.solution.residuals.max() <= 1e-8
+
+    def test_planning_never_reads_the_dense_matrix(self, monkeypatch):
+        reads = []
+        dense = LpProblem.a_eq
+        monkeypatch.setattr(LpProblem, "a_eq", property(lambda prob: reads.append(prob) or dense.fget(prob)))
+        opt = optimize_controlled_zones(*random_control_inputs(np.random.default_rng([7, 8]), 3, 96))
+        assert opt.solution.status == "optimal"
+        assert reads == []
+        facet_lp().a_eq
+        assert len(reads) == 1
 
     def test_impossible_power_limit_is_infeasible(self):
         cfg = small_cfg(steps=48)
