@@ -101,13 +101,20 @@ def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
         )
 
 
+def _check_plan(plan: SetpointPlan, traj: Trajectory) -> None:
+    if plan.n != traj.n:
+        raise ValueError(f"plan covers {plan.n} zones, trajectories have {traj.n}")
+
+
 def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
-    """Cost savings realized in one zone [$].
+    """Cost savings realized in one zone [$], zones numbered 1..n.
 
     Price-weighted difference of delivered thermal energy; fixed cost
     offsets cancel between the scenarios and never enter.
     """
     _check_pair(base, exp)
+    if not 1 <= zone <= base.n:
+        raise ValueError(f"zone {zone} out of range 1..{base.n}")
     a = cost.zone_price(zone)
     dq = base.powers_kw[:, zone - 1] - exp.powers_kw[:, zone - 1]
     return float(a @ dq) * base.grid.dt_h
@@ -115,6 +122,7 @@ def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: i
 
 def naive_savings(base: Trajectory, exp: Trajectory, cost: CostModel, plan: SetpointPlan) -> float:
     """Savings summed over controlled zones only (the biased headline)."""
+    _check_plan(plan, base)
     return sum(per_zone_savings(base, exp, cost, i) for i in plan.controlled)
 
 
@@ -125,9 +133,9 @@ def oracle_true_savings(base: Trajectory, exp: Trajectory, cost: CostModel) -> f
 
 
 def _zone_savings(
-    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, form: str
-) -> np.ndarray:
-    """Each zone's savings [$] from its heat balance, as an (n,) vector.
+    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each zone's savings [$] from its heat balance, as (n,) vectors of forms "a" and "b".
 
     Zone z saves the price-weighted integral of C_z dx_z/dt + (L x)_z, L
     being the conductance Laplacian with the outdoor conductance on its
@@ -135,9 +143,9 @@ def _zone_savings(
     sum_k a(k) (x(k+1) - x(k)) (form "a") or its summation by parts
     without the boundary term, -sum_k (a(k) - a(k-1)) x(k) (form "b").
     """
-    if form not in ("a", "b"):
-        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
     _check_pair(base, exp)
+    if net.n != base.n:
+        raise ValueError(f"network has {net.n} zones, trajectories have {base.n}")
     alpha = net.conductances_kw_per_c
     laplacian = np.diag(alpha[1:].sum(axis=1)) - alpha[1:, 1:]
     a = cost.prices_usd_per_kwh.T
@@ -145,11 +153,10 @@ def _zone_savings(
         raise ValueError(f"prices have shape {a.T.shape}, expected {base.powers_kw.T.shape} (zones, steps)")
     x = base.temps_c - exp.temps_c
     conduction = (a * ((base.temp_integrals_c_h - exp.temp_integrals_c_h) @ laplacian)).sum(axis=0)
-    if form == "a":
-        storage = (a * np.diff(x, axis=0)).sum(axis=0)
-    else:
-        storage = -(np.diff(a, axis=0) * x[1:-1]).sum(axis=0)
-    return conduction + net.capacitances_kwh_per_c * storage
+    storage_a = (a * np.diff(x, axis=0)).sum(axis=0)
+    storage_b = -(np.diff(a, axis=0) * x[1:-1]).sum(axis=0)
+    caps = net.capacitances_kwh_per_c
+    return conduction + caps * storage_a, conduction + caps * storage_b
 
 
 def _warn_off_baseline(base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel) -> None:
@@ -188,7 +195,8 @@ def overestimation_error(
     The cost the uncontrolled zones take on, from their heat balance; with
     pinned neighbours, sum_ij alpha_ij int a_j x_i (i controlled, j not).
     """
-    return _uncontrolled_cost(_zone_savings(base, exp, net, cost, "a"), plan)
+    _check_plan(plan, base)
+    return _uncontrolled_cost(_zone_savings(base, exp, net, cost)[0], plan)
 
 
 def corrected_savings(
@@ -209,10 +217,13 @@ def corrected_savings(
     sum_z C_z (a_z(K-1) x_z(K) - a_z(0) x_z(0)), which a
     BoundaryMismatchWarning reports.
     """
-    savings = _zone_savings(base, exp, net, cost, form)
-    if form == "b":
-        _warn_off_baseline(base, exp, net, cost)
-    return float(savings.sum())
+    if form not in ("a", "b"):
+        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
+    zone_a, zone_b = _zone_savings(base, exp, net, cost)
+    if form == "a":
+        return float(zone_a.sum())
+    _warn_off_baseline(base, exp, net, cost)
+    return float(zone_b.sum())
 
 
 def _relative_error(error_usd: float, true_usd: float, naive_usd: float) -> float | None:
@@ -235,7 +246,7 @@ def savings_report(
         base_cost, exp_cost = (float(cost.zone_price(i) @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
         rows.append(ZoneSavings(i, base_cost, exp_cost, base_cost - exp_cost))
     naive = naive_savings(base, exp, cost, plan)
-    zone_a = _zone_savings(base, exp, net, cost, "a")
+    zone_a, zone_b = _zone_savings(base, exp, net, cost)
     error = _uncontrolled_cost(zone_a, plan)
     _warn_off_baseline(base, exp, net, cost)
     true = oracle_true_savings(base, exp, cost)
@@ -243,7 +254,7 @@ def savings_report(
         naive_controlled_usd=naive,
         overestimation_error_usd=error,
         corrected_form_a_usd=float(zone_a.sum()),
-        corrected_form_b_usd=float(_zone_savings(base, exp, net, cost, "b").sum()),
+        corrected_form_b_usd=float(zone_b.sum()),
         oracle_true_usd=true,
         per_zone=tuple(rows),
         relative_error=_relative_error(error, true, naive),

@@ -19,20 +19,18 @@ they leave is inverted by its block triangular form: a maximum transversal
 1981), then Tarjan's strongly connected components of the matched graph
 (Duff & Reid, "An implementation of Tarjan's algorithm for the block
 triangularization of a matrix", ACM TOMS 4, 1978), so LAPACK sees only the
-diagonal blocks. The duals are
-updated per pivot from the new row of the inverse and recomputed exactly at
-each refactor and at the end of each phase. Pivot column d = B^-1 a_j and
-the new row of the inverse are hyper-sparse (Hall & McKinnon, "Hyper-sparsity
-in the revised simplex method and how to exploit it", Comput. Optim. Appl.
-32, 2005), so the ratio test and the primal update run over the support of
-d, the rank-one update of the inverse over the support of d times that of
-the row, and the dual update over the row's. Pricing is
-most-negative-reduced-cost over a per-column bound weight (-1 at a lower
-bound, +1 at an upper bound, 0 when basic or fixed) kept up to date per
-pivot, with an automatic switch to Bland's rule after a run of degenerate
-pivots, so the method is deterministic and cannot cycle.
-Optimality is certified independently of the pivot path by recomputing the
-KKT residuals from (x, y) alone.
+diagonal blocks. The duals are updated per pivot from the new row of the
+inverse and recomputed exactly at each refactor and at the end of each
+phase. Pivot column d = B^-1 a_j and the new row of the inverse are
+hyper-sparse (Hall & McKinnon, "Hyper-sparsity in the revised simplex
+method and how to exploit it", Comput. Optim. Appl. 32, 2005), so the ratio
+test and the primal update run over the support of d, the rank-one update
+of the inverse over the support of d times that of the row, and the dual
+update over the row's. Pricing is most-negative-reduced-cost over each
+column's bound status, kept as its pricing weight, with an automatic switch
+to Bland's rule after a run of degenerate pivots, so the method is
+deterministic and cannot cycle. Optimality is certified independently of
+the pivot path by recomputing the KKT residuals from (x, y) alone.
 """
 
 from __future__ import annotations
@@ -102,9 +100,9 @@ class ComfortSchedule:
 class LpProblem:
     """min c.x subject to A x = b_eq and lower <= x <= upper.
 
-    A is given dense as ``a_eq`` or as its nonzeros ``nonzeros=(row, col,
-    val)`` with no (row, col) pair repeated. It is stored as column-ordered
-    triplets of its nonzeros (``row``, ``col``, ``val``, sorted by column,
+    A is given by its nonzeros, ``nonzeros=(row, col, val)``, with no
+    (row, col) pair repeated; zero values are dropped. It is stored as
+    column-ordered triplets (``row``, ``col``, ``val``, sorted by column,
     then row); ``a_eq`` builds the dense matrix on each access. Bounds may
     be infinite. ``names`` labels each column for diagnostics.
     """
@@ -118,32 +116,23 @@ class LpProblem:
     col: np.ndarray
     val: np.ndarray
 
-    def __init__(self, c, a_eq=None, b_eq=None, lower=None, upper=None, names=(), *, nonzeros=None):
-        if (a_eq is None) == (nonzeros is None) or b_eq is None or lower is None or upper is None:
-            raise TypeError("give c, b_eq, lower, upper and exactly one of a_eq and nonzeros")
+    def __init__(self, c, b_eq, lower, upper, nonzeros, names=()):
         c = np.atleast_1d(np.asarray(c, dtype=float))
         b = np.atleast_1d(np.asarray(b_eq, dtype=float))
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
         m, n = b.shape[0], c.shape[0]
-        if nonzeros is None:
-            a = np.atleast_2d(np.asarray(a_eq, dtype=float))
-            if a.shape != (m, n):
-                raise ValueError(f"a_eq shape {a.shape} inconsistent with {m} rows, {n} cols")
-            col, row = np.nonzero(a.T)
-            val = a[row, col]
-        else:
-            row, col = (np.asarray(v, dtype=np.intp).ravel() for v in nonzeros[:2])
-            val = np.asarray(nonzeros[2], dtype=float).ravel()
-            if not row.shape == col.shape == val.shape:
-                raise ValueError("nonzeros need one row, col and val per entry")
-            keep = val != 0.0
-            order = np.lexsort((row[keep], col[keep]))
-            row, col, val = row[keep][order], col[keep][order], val[keep][order]
-            if np.any((row < 0) | (row >= m) | (col < 0) | (col >= n)):
-                raise ValueError(f"nonzeros outside the {m} x {n} matrix")
-            if np.any((np.diff(col) == 0) & (np.diff(row) == 0)):
-                raise ValueError("nonzeros repeat a (row, col) pair")
+        row, col = (np.asarray(v, dtype=np.intp).ravel() for v in nonzeros[:2])
+        val = np.asarray(nonzeros[2], dtype=float).ravel()
+        if not row.shape == col.shape == val.shape:
+            raise ValueError("nonzeros need one row, col and val per entry")
+        keep = val != 0.0
+        order = np.lexsort((row[keep], col[keep]))
+        row, col, val = row[keep][order], col[keep][order], val[keep][order]
+        if np.any((row < 0) | (row >= m) | (col < 0) | (col >= n)):
+            raise ValueError(f"nonzeros outside the {m} x {n} matrix")
+        if np.any((np.diff(col) == 0) & (np.diff(row) == 0)):
+            raise ValueError("nonzeros repeat a (row, col) pair")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match the number of variables")
         if not np.all(np.isfinite(c)):
@@ -209,12 +198,18 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Outcome of ``solve_lp``: ``status`` and the pivot count ``iterations``, always.
+
+    ``optimal`` fills x, y, objective and residuals, ``infeasible`` certificate
+    and message, ``uncertified`` residuals and message, ``unbounded`` message.
+    """
+
     status: str  # optimal | infeasible | unbounded | iteration-limit | uncertified
-    x: np.ndarray | None
-    y: np.ndarray | None
-    objective: float | None
-    residuals: KktResiduals | None
     iterations: int
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    objective: float | None = None
+    residuals: KktResiduals | None = None
     certificate: FarkasCertificate | None = None
     message: str = ""
 
@@ -430,32 +425,29 @@ class _Simplex:
     A is read from the problem's column-ordered triplets (``row``, ``col``,
     ``val``, plus the column pointer ``col_start``); artificial column n + i
     is ``sign[i] * e_i`` and is never stored. The basis inverse is dense.
-    """
 
-    AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, -1
+    A column's bound status is its pricing weight, kept across both phases:
+    -1 at its lower bound, +1 at its upper, 0 when basic or fixed, so a bounded
+    nonbasic column violates by max(weight * z, 0). Nonbasic free columns are
+    listed in ``free`` and price at |z|; their room is infinite, so once basic
+    they never leave.
+    """
 
     def __init__(self, prob: LpProblem):
         m, n = prob.n_rows, prob.n_vars
         self.m, self.n = m, n
         self.prob = prob
-        self.row, self.col, self.val = prob.row, prob.col, prob.val
-        self.col_start = np.searchsorted(self.col, np.arange(n + 1))
-        x0 = np.where(
-            np.isfinite(prob.lower), prob.lower, np.where(np.isfinite(prob.upper), prob.upper, 0.0)
-        )
+        self.col_start = np.searchsorted(prob.col, np.arange(n + 1))
+        weight = np.where(np.isfinite(prob.lower), -1.0, np.where(np.isfinite(prob.upper), 1.0, 0.0))
+        x0 = np.where(weight < 0, prob.lower, np.where(weight > 0, prob.upper, 0.0))
         resid = prob.b_eq - prob.matvec(x0)
         self.sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.b = prob.b_eq
         self.lower = np.concatenate([prob.lower, np.zeros(m)])
         self.upper = np.concatenate([prob.upper, np.full(m, np.inf)])
         self.x = np.concatenate([x0, np.abs(resid)])
-        self.state = np.empty(n + m, dtype=int)
-        self.state[:n] = np.where(
-            np.isfinite(prob.lower),
-            self.AT_LOWER,
-            np.where(np.isfinite(prob.upper), self.AT_UPPER, self.FREE),
-        )
-        self.state[n:] = self.BASIC
+        self.free = np.nonzero(weight == 0.0)[0]
+        self.weight = np.concatenate([weight, np.zeros(m)])
+        self.weight[self.lower == self.upper] = 0.0
         self.basis = np.arange(n, n + m)
         self.b_inv = np.diag(self.sign)
         self.iterations = 0
@@ -477,18 +469,18 @@ class _Simplex:
             i = j - self.n
             return self.sign[i] * self.b_inv[:, i]
         nz = slice(self.col_start[j], self.col_start[j + 1])
-        return self.b_inv[:, self.row[nz]] @ self.val[nz]
+        return self.b_inv[:, self.prob.row[nz]] @ self.prob.val[nz]
 
     def _basis_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The basic columns of [A | S] as (row, basis position, value) triplets."""
         pos = np.full(self.n + self.m, -1)
         pos[self.basis] = np.arange(self.m)
-        basic = pos[self.col] >= 0
+        basic = pos[self.prob.col] >= 0
         art = np.nonzero(pos[self.n :] >= 0)[0]
         return (
-            np.concatenate([self.row[basic], art]),
-            np.concatenate([pos[self.col[basic]], pos[self.n + art]]),
-            np.concatenate([self.val[basic], self.sign[art]]),
+            np.concatenate([self.prob.row[basic], art]),
+            np.concatenate([pos[self.prob.col[basic]], pos[self.n + art]]),
+            np.concatenate([self.prob.val[basic], self.sign[art]]),
         )
 
     def refactor(self) -> None:
@@ -561,19 +553,11 @@ class _Simplex:
 
         x_nonbasic = self.x.copy()
         x_nonbasic[self.basis] = 0.0
-        self.x[self.basis] = self.b_inv @ (self.b - self._times(x_nonbasic))
+        self.x[self.basis] = self.b_inv @ (self.prob.b_eq - self._times(x_nonbasic))
         self.pivots_since_refactor = 0
 
     def run_phase(self, c_phase: np.ndarray, max_iter: int, allow_unbounded: bool) -> str:
         dtol = _KKT_TOL * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
-        fixed = self.lower == self.upper
-        # Pricing weight of each column: -1 at its lower bound, +1 at its
-        # upper bound, 0 when basic or fixed, so the violation of a bounded
-        # nonbasic column is max(weight * z, 0). Nonbasic free columns
-        # price at |z|; once basic they never leave, as their room is infinite.
-        weight = np.where(self.state == self.AT_LOWER, -1.0, np.where(self.state == self.AT_UPPER, 1.0, 0.0))
-        weight[fixed] = 0.0
-        free = (self.state == self.FREE).nonzero()[0]
         # y is recomputed as B^-T c_B at the start, after each refactor and
         # before the phase may stop; in between each pivot updates it.
         recompute, updated = True, False
@@ -584,9 +568,9 @@ class _Simplex:
                 self.y = self.b_inv.T @ c_phase[self.basis]
                 recompute, updated = False, False
             z = c_phase - self._price(self.y)
-            viol = weight * z
+            viol = self.weight * z
             np.maximum(viol, 0.0, out=viol)
-            viol[free] = np.abs(z[free])
+            viol[self.free] = np.abs(z[self.free])
             if self.degenerate_run > _DEGENERATE_RUN_LIMIT:
                 j = int(np.argmax(viol > dtol))  # Bland: the first candidate
             else:
@@ -598,10 +582,7 @@ class _Simplex:
                 continue
             self.iterations += 1
 
-            if self.state[j] == self.AT_UPPER or (self.state[j] == self.FREE and z[j] > 0):
-                sigma = -1.0
-            else:
-                sigma = 1.0
+            sigma = -1.0 if z[j] > 0 else 1.0  # the direction that lowers the phase cost
             d = self._column(j)
             # The ratio test and the primal update touch only the support of d.
             nz = d.nonzero()[0]
@@ -626,8 +607,7 @@ class _Simplex:
                 # Bound flip: variable crosses to its other bound, basis unchanged.
                 self.x[moving] = xb - step * span
                 self.x[j] += sigma * span
-                self.state[j] = self.AT_UPPER if self.state[j] == self.AT_LOWER else self.AT_LOWER
-                weight[j] = -weight[j]
+                self.weight[j] = -self.weight[j]
                 self.degenerate_run = 0
                 continue
 
@@ -640,12 +620,11 @@ class _Simplex:
             self.x[j] += sigma * t
             hit_lower = step[leave] > 0
             self.x[leaving] = self.lower[leaving] if hit_lower else self.upper[leaving]
-            self.state[leaving] = self.AT_LOWER if hit_lower else self.AT_UPPER
-            weight[leaving] = 0.0 if fixed[leaving] else (-1.0 if hit_lower else 1.0)
-            if self.state[j] == self.FREE:
-                free = free[free != j]
-            self.state[j] = self.BASIC
-            weight[j] = 0.0
+            if self.lower[leaving] != self.upper[leaving]:
+                self.weight[leaving] = -1.0 if hit_lower else 1.0
+            if not self.weight[j]:
+                self.free = self.free[self.free != j]
+            self.weight[j] = 0.0
             self.basis[r] = j
 
             # Rank-one update of B^-1 and y over the supports of d and of
@@ -678,19 +657,16 @@ def _farkas(sim: _Simplex, prob: LpProblem) -> FarkasCertificate:
 def _unfinished(status: str, iterations: int) -> LpSolution:
     """Solution record for a run that stopped without an optimal basis."""
     message = "objective unbounded below" if status == "unbounded" else ""
-    return LpSolution(status, None, None, None, None, iterations, message=message)
+    return LpSolution(status, iterations, message=message)
 
 
 def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Solve the LP deterministically.
+    """Solve the LP deterministically; ``LpSolution`` lists what each status fills.
 
-    Returns an LpSolution whose status is ``optimal`` only if the KKT
-    residuals, recomputed independently of the pivot path, are within
-    1e-8; then it carries x, y and the objective. The other statuses carry
-    no x: ``infeasible`` (with a Farkas-type certificate), ``unbounded``,
-    ``iteration-limit``, and ``uncertified`` when the optimality phase
-    converged twice, the second time from a refactorized basis, to a point
-    whose residuals exceed 1e-8 (they are in ``residuals`` and ``message``).
+    The status is ``optimal`` only if the KKT residuals, recomputed
+    independently of the pivot path, are within 1e-8, and ``uncertified``
+    when the optimality phase converged twice, the second time from a
+    refactorized basis, to a point whose residuals exceed 1e-8.
     """
     n, m = prob.n_vars, prob.n_rows
     if max_iter is None:
@@ -701,10 +677,6 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
         j = int(bad[0])
         return LpSolution(
             status="infeasible",
-            x=None,
-            y=None,
-            objective=None,
-            residuals=None,
             iterations=0,
             certificate=FarkasCertificate(kind="bounds", gap=float(prob.lower[j] - prob.upper[j])),
             message=f"variable {prob.names[j]} has lower {prob.lower[j]} > upper {prob.upper[j]}",
@@ -717,21 +689,17 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
         return _unfinished(status, sim.iterations)
     infeas = float(sim.x[n:].sum())
     if infeas > _KKT_TOL * (1.0 + float(np.abs(prob.b_eq).max(initial=0.0))):
-        cert = _farkas(sim, prob)
         return LpSolution(
             status="infeasible",
-            x=None,
-            y=cert.y,
-            objective=None,
-            residuals=None,
             iterations=sim.iterations,
-            certificate=cert,
+            certificate=_farkas(sim, prob),
             message=f"equality system infeasible (residual {infeas:g})",
         )
 
-    # Freeze artificials at zero and optimize the true objective.
+    # Freeze artificials at zero, fixed columns weighing 0, and optimize the true objective.
     sim.upper[n:] = 0.0
     sim.x[n:] = np.maximum(sim.x[n:], 0.0)
+    sim.weight[n:] = 0.0
     c_phase2 = np.concatenate([prob.c, np.zeros(m)])
     # A failed certificate earns one re-run of the optimality phase from
     # the refactorized basis.
@@ -746,19 +714,16 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
         if res.max() <= _KKT_TOL:
             return LpSolution(
                 status="optimal",
+                iterations=sim.iterations,
                 x=x,
                 y=y,
                 objective=float(prob.c @ x),
                 residuals=res,
-                iterations=sim.iterations,
             )
     return LpSolution(
         status="uncertified",
-        x=None,
-        y=None,
-        objective=None,
-        residuals=res,
         iterations=sim.iterations,
+        residuals=res,
         message=f"simplex converged but KKT residuals are {res}",
     )
 

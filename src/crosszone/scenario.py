@@ -236,8 +236,6 @@ def synthesize_gains(
     if np.any(ext < 0) or np.any(floor < 0):
         raise ValueError("areas must be nonnegative")
     k = weather.grid.steps
-    if k == 0:
-        raise ValueError("empty weather series")
 
     ghi = weather.ghi.values
     mean_ghi = float(ghi.mean())

@@ -198,7 +198,7 @@ class TestOptimize:
         assert "Traceback" not in err
 
     def test_solver_status_named_on_exit_three(self, tmp_path, capsys, monkeypatch):
-        stopped = LpSolution("iteration-limit", None, None, None, None, 7)
+        stopped = LpSolution("iteration-limit", 7)
         monkeypatch.setattr("crosszone.lp.solve_lp", lambda prob: stopped)
         cfg = write_config(tmp_path)
         assert run_cli("optimize", "--config", cfg, "--out-dir", tmp_path) == 3

@@ -1,8 +1,10 @@
-"""Property test for config files: one malformed field never ends in a traceback.
+"""Property tests for config files: malformed fields never end in a traceback.
 
-Each example replaces one field of the built-in config document (a leaf
-value or a whole section) with a drawn JSON value and runs `simulate` and
-`optimize` in-process on a 24-step grid.
+One test replaces one field of the built-in config document (a leaf value
+or a whole section) with a drawn JSON value; the other replaces two numeric
+leaves, mostly with numbers of the config's own scale. Each document runs
+`simulate`, `optimize` and `reproduce-example --svg` in-process on a 24-step
+grid.
 """
 
 import contextlib
@@ -55,11 +57,24 @@ def _replaced(doc, path, value):
     return copy
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _too_many_steps(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and not value <= STEPS
+    return _is_number(value) and not value <= STEPS
 
 
-def run(command: str, doc: dict) -> tuple[int, str]:
+COMMANDS = (("simulate",), ("optimize",), ("reproduce-example", "--svg"))
+
+
+def run(command: tuple[str, ...], doc: dict) -> tuple[int, str]:
     """Run ``command`` on ``doc`` in a fresh directory; exit code and stderr."""
     with tempfile.TemporaryDirectory() as d:
         config = os.path.join(d, "cfg.json")
@@ -68,20 +83,41 @@ def run(command: str, doc: dict) -> tuple[int, str]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
-                code = main([command, "--config", config, "--out-dir", d])
+                code = main([*command, "--config", config, "--out-dir", d])
             except Exception:  # reported as a failure below, with its traceback
                 return -1, traceback.format_exc()
         return code, err.getvalue()
+
+
+def check_every_command(doc: dict) -> None:
+    for command in COMMANDS:
+        code, err = run(command, doc)
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if code:
+            assert err.strip(), f"{command[0]} exited {code} with nothing on stderr"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(path=st.sampled_from(PATHS), value=JSON_VALUES)
 def test_one_replaced_field_exits_with_a_message(path, value):
     assume(not (path == ("grid", "steps") and _too_many_steps(value)))
-    doc = _replaced(BASE_DOC, path, value)
-    for command in ("simulate", "optimize"):
-        code, err = run(command, doc)
-        assert code in (0, 2, 3, 4), err
-        assert "Traceback" not in err
-        if code:
-            assert err.strip(), f"{command} exited {code} with nothing on stderr"
+    check_every_command(_replaced(BASE_DOC, path, value))
+
+
+# Numbers of the config's own scale let some two-field documents load and reach the solver.
+NUMBER_PATHS = [p for p in PATHS if _is_number(_at(BASE_DOC, p))]
+NUMBERS = st.integers(-2, 30) | st.floats(-50.0, 50.0) | JSON_VALUES
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    paths=st.lists(st.sampled_from(NUMBER_PATHS), min_size=2, max_size=2, unique=True),
+    values=st.tuples(NUMBERS, NUMBERS),
+)
+def test_two_replaced_fields_exit_with_a_message(paths, values):
+    doc = BASE_DOC
+    for path, value in zip(paths, values):
+        assume(not (path == ("grid", "steps") and _too_many_steps(value)))
+        doc = _replaced(doc, path, value)
+    check_every_command(doc)

@@ -63,6 +63,15 @@ class TestPerZoneSavings:
         with pytest.raises(ValueError, match="grid"):
             per_zone_savings(base, other, cost, 1)
 
+    @pytest.mark.parametrize("zone", [0, -1, 4])
+    def test_zone_outside_range_rejected(self, zone):
+        # Zone 0 once read the last zone's column and price; zone 4 raised IndexError.
+        net = random_network(np.random.default_rng(5), 3)
+        grid, _, base, exp = cold_snap_pair(net)
+        cost = CostModel.uniform(np.full(grid.steps, 0.05), 3)
+        with pytest.raises(ValueError, match=re.escape(f"zone {zone} out of range 1..3")):
+            per_zone_savings(base, exp, cost, zone)
+
 
 class TestNaiveAndOracle:
     def test_identical_zero(self, two_zone_network):
@@ -281,6 +290,44 @@ class TestAccountingIdentity:
         assert r2.corrected_form_a_usd == pytest.approx(s * r1.corrected_form_a_usd, rel=1e-12)
         assert r2.corrected_form_b_usd == pytest.approx(s * r1.corrected_form_b_usd, rel=1e-12)
         assert r2.oracle_true_usd == pytest.approx(s * r1.oracle_true_usd, rel=1e-12)
+
+
+class TestBuildingMismatch:
+    """Accounting refuses a plan or network whose zone count differs from the runs'."""
+
+    @staticmethod
+    def three_zone_runs():
+        net = random_network(np.random.default_rng(5), 3)
+        grid, plan, base, exp = cold_snap_pair(net)
+        return net, plan, base, exp, CostModel.uniform(np.full(grid.steps, 0.05), 3)
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            (SetpointPlan([21.0] * 2, (1,)), "plan covers 2 zones, trajectories have 3"),
+            (SetpointPlan([21.0] * 4, (1, 4)), "plan covers 4 zones, trajectories have 3"),
+        ],
+        ids=["fewer-zones", "names-zone-4"],
+    )
+    def test_plan_for_another_building(self, plan, match):
+        net, _, base, exp, cost = self.three_zone_runs()
+        with pytest.raises(ValueError, match=match):
+            naive_savings(base, exp, cost, plan)
+        with pytest.raises(ValueError, match=match):
+            overestimation_error(base, exp, net, cost, plan)
+        with pytest.raises(ValueError, match=match):
+            savings_report(base, exp, net, cost, plan)
+
+    def test_network_for_another_building(self, two_zone_network):
+        _, plan, base, exp, cost = self.three_zone_runs()
+        match = "network has 2 zones, trajectories have 3"
+        with pytest.raises(ValueError, match=match):
+            overestimation_error(base, exp, two_zone_network, cost, plan)
+        with pytest.raises(ValueError, match=match):
+            savings_report(base, exp, two_zone_network, cost, plan)
+        for form in ("a", "b"):
+            with pytest.raises(ValueError, match=match):
+                corrected_savings(base, exp, two_zone_network, cost, form)
 
 
 class TestSavingsReport:
