@@ -15,6 +15,7 @@ from .estimator import (
     GeometryCase,
     SavingsReport,
     ZoneSavings,
+    conductance_ratios,
     corrected_savings,
     geometry_relative_error,
     naive_savings,
@@ -22,7 +23,6 @@ from .estimator import (
     overestimation_error,
     per_zone_savings,
     savings_report,
-    two_zone_relative_error,
 )
 from .linalg import matrix_exp
 from .lp import (
@@ -84,6 +84,7 @@ __all__ = [
     "WeatherSeries",
     "ZoneSavings",
     "build_control_lp",
+    "conductance_ratios",
     "cop",
     "corrected_savings",
     "discretize",
@@ -105,5 +106,4 @@ __all__ = [
     "synthetic_weather",
     "thermal_price",
     "tracking_power",
-    "two_zone_relative_error",
 ]

@@ -393,15 +393,15 @@ def cmd_reproduce_example(cfg: RunConfig, out_dir: str, svg: bool) -> int:
 
     print(format_report_table(report))
     print()
-    if cfg.network.n == 2 and cfg.plan.controlled == (1,):
-        predicted = est.two_zone_relative_error(cfg.network)
+    if cfg.plan.m == 1:
+        (predicted,) = est.conductance_ratios(cfg.network, cfg.plan.controlled)
         measured = report.relative_error
         if measured is None:
             print(f"relative error: undefined (true savings ~0); constant-price prediction {predicted:.4f}")
         else:
             print(
                 f"relative error: {measured:.4f} measured vs {predicted:.4f} "
-                "predicted by the two-zone conductance ratio (exact for constant prices)"
+                "predicted by the controlled zone's conductance ratio (exact for constant prices)"
             )
     files = ["baseline.csv", "experiment.csv", "savings_report.json", "geometry_grid.csv"]
     if svg:

@@ -44,7 +44,7 @@ __all__ = [
     "corrected_savings",
     "oracle_true_savings",
     "savings_report",
-    "two_zone_relative_error",
+    "conductance_ratios",
     "geometry_relative_error",
 ]
 
@@ -91,19 +91,28 @@ class SavingsReport:
     relative_error: float | None
 
 
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
-    grid_a, grid_b = traj_a.grid, traj_b.grid
-    if (grid_a.steps, grid_a.dt_h, traj_a.n) != (grid_b.steps, grid_b.dt_h, traj_b.n):
+def _check(
+    base: Trajectory, exp: Trajectory, cost: CostModel,
+    net: ThermalNetwork | None = None, plan: SetpointPlan | None = None,
+) -> None:
+    """Refuse runs, prices, network or plan that do not describe one building."""
+    grid_a, grid_b = base.grid, exp.grid
+    if (grid_a.steps, grid_a.dt_h, base.n) != (grid_b.steps, grid_b.dt_h, exp.n):
         raise ValueError(
             "trajectories disagree on grid or zone count: "
-            f"({grid_a.steps} steps, {traj_a.n} zones) vs "
-            f"({grid_b.steps} steps, {traj_b.n} zones)"
+            f"({grid_a.steps} steps, {base.n} zones) vs ({grid_b.steps} steps, {exp.n} zones)"
         )
+    if (shape := cost.prices_usd_per_kwh.shape) != (base.n, grid_a.steps):
+        raise ValueError(f"prices have shape {shape}, expected {(base.n, grid_a.steps)} (zones, steps)")
+    for what, other in (("network has", net), ("plan covers", plan)):
+        if other is not None and other.n != base.n:
+            raise ValueError(f"{what} {other.n} zones, trajectories have {base.n}")
 
 
-def _check_plan(plan: SetpointPlan, traj: Trajectory) -> None:
-    if plan.n != traj.n:
-        raise ValueError(f"plan covers {plan.n} zones, trajectories have {traj.n}")
+def _metered(base: Trajectory, exp: Trajectory, cost: CostModel) -> list[float]:
+    """Each zone's metered savings [$], summed over contiguous rows: a strided column may sum in another order."""
+    dq = (base.powers_kw - exp.powers_kw).T.copy()
+    return [float(a @ d) * base.grid.dt_h for a, d in zip(cost.prices_usd_per_kwh, dq)]
 
 
 def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
@@ -112,24 +121,23 @@ def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: i
     Price-weighted difference of delivered thermal energy; fixed cost
     offsets cancel between the scenarios and never enter.
     """
-    _check_pair(base, exp)
+    _check(base, exp, cost)
     if not 1 <= zone <= base.n:
         raise ValueError(f"zone {zone} out of range 1..{base.n}")
-    a = cost.zone_price(zone)
-    dq = base.powers_kw[:, zone - 1] - exp.powers_kw[:, zone - 1]
-    return float(a @ dq) * base.grid.dt_h
+    return _metered(base, exp, cost)[zone - 1]
 
 
 def naive_savings(base: Trajectory, exp: Trajectory, cost: CostModel, plan: SetpointPlan) -> float:
     """Savings summed over controlled zones only (the biased headline)."""
-    _check_plan(plan, base)
-    return sum(per_zone_savings(base, exp, cost, i) for i in plan.controlled)
+    _check(base, exp, cost, plan=plan)
+    saved = _metered(base, exp, cost)
+    return sum(saved[i - 1] for i in plan.controlled)
 
 
 def oracle_true_savings(base: Trajectory, exp: Trajectory, cost: CostModel) -> float:
     """Whole-building savings: cost change summed over every zone [$]."""
-    _check_pair(base, exp)
-    return sum(per_zone_savings(base, exp, cost, i) for i in range(1, base.n + 1))
+    _check(base, exp, cost)
+    return sum(_metered(base, exp, cost))
 
 
 def _zone_savings(
@@ -143,14 +151,9 @@ def _zone_savings(
     sum_k a(k) (x(k+1) - x(k)) (form "a") or its summation by parts
     without the boundary term, -sum_k (a(k) - a(k-1)) x(k) (form "b").
     """
-    _check_pair(base, exp)
-    if net.n != base.n:
-        raise ValueError(f"network has {net.n} zones, trajectories have {base.n}")
     alpha = net.conductances_kw_per_c
     laplacian = np.diag(alpha[1:].sum(axis=1)) - alpha[1:, 1:]
     a = cost.prices_usd_per_kwh.T
-    if a.shape != base.powers_kw.shape:
-        raise ValueError(f"prices have shape {a.T.shape}, expected {base.powers_kw.T.shape} (zones, steps)")
     x = base.temps_c - exp.temps_c
     conduction = (a * ((base.temp_integrals_c_h - exp.temp_integrals_c_h) @ laplacian)).sum(axis=0)
     storage_a = (a * np.diff(x, axis=0)).sum(axis=0)
@@ -184,18 +187,14 @@ def _uncontrolled_cost(zone_savings: np.ndarray, plan: SetpointPlan) -> float:
 
 
 def overestimation_error(
-    base: Trajectory,
-    exp: Trajectory,
-    net: ThermalNetwork,
-    cost: CostModel,
-    plan: SetpointPlan,
+    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, plan: SetpointPlan
 ) -> float:
     """Amount by which controlled-zone savings overstate the truth [$].
 
     The cost the uncontrolled zones take on, from their heat balance; with
     pinned neighbours, sum_ij alpha_ij int a_j x_i (i controlled, j not).
     """
-    _check_plan(plan, base)
+    _check(base, exp, cost, net, plan)
     return _uncontrolled_cost(_zone_savings(base, exp, net, cost)[0], plan)
 
 
@@ -219,6 +218,7 @@ def corrected_savings(
     """
     if form not in ("a", "b"):
         raise ValueError(f"form must be 'a' or 'b', got {form!r}")
+    _check(base, exp, cost, net)
     zone_a, zone_b = _zone_savings(base, exp, net, cost)
     if form == "a":
         return float(zone_a.sum())
@@ -226,30 +226,23 @@ def corrected_savings(
     return float(zone_b.sum())
 
 
-def _relative_error(error_usd: float, true_usd: float, naive_usd: float) -> float | None:
-    if abs(true_usd) < 1e-9 * max(abs(naive_usd), _RELATIVE_ERROR_FLOOR_USD):
-        return None
-    return error_usd / true_usd
-
-
 def savings_report(
-    base: Trajectory,
-    exp: Trajectory,
-    net: ThermalNetwork,
-    cost: CostModel,
-    plan: SetpointPlan,
+    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, plan: SetpointPlan
 ) -> SavingsReport:
     """Assemble every estimate plus a per-zone cost breakdown."""
+    _check(base, exp, cost, net, plan)
     dt = base.grid.dt_h
     rows = []
     for i in range(1, base.n + 1):
         base_cost, exp_cost = (float(cost.zone_price(i) @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
         rows.append(ZoneSavings(i, base_cost, exp_cost, base_cost - exp_cost))
-    naive = naive_savings(base, exp, cost, plan)
+    saved = _metered(base, exp, cost)
+    naive = sum(saved[i - 1] for i in plan.controlled)
     zone_a, zone_b = _zone_savings(base, exp, net, cost)
     error = _uncontrolled_cost(zone_a, plan)
     _warn_off_baseline(base, exp, net, cost)
-    true = oracle_true_savings(base, exp, cost)
+    true = sum(saved)
+    vanishing = abs(true) < 1e-9 * max(abs(naive), _RELATIVE_ERROR_FLOOR_USD)
     return SavingsReport(
         naive_controlled_usd=naive,
         overestimation_error_usd=error,
@@ -257,22 +250,8 @@ def savings_report(
         corrected_form_b_usd=float(zone_b.sum()),
         oracle_true_usd=true,
         per_zone=tuple(rows),
-        relative_error=_relative_error(error, true, naive),
+        relative_error=None if vanishing else error / true,
     )
-
-
-def two_zone_relative_error(net: ThermalNetwork) -> float:
-    """Closed-form relative error for a two-zone building, zone 1 controlled.
-
-    With constant (or slowly varying) prices the overestimation error over
-    the true savings equals the interior-to-exterior conductance ratio of
-    the controlled zone, by the rule of ``geometry_relative_error``: zero
-    without interior coupling, infinite without outdoor coupling (every
-    perceived dollar is then fictitious).
-    """
-    if net.n != 2:
-        raise ValueError(f"closed form applies to 2-zone networks, got n={net.n}")
-    return geometry_relative_error(GeometryCase(net.conductance(1, 2), net.conductance(1, 0), 1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -321,3 +300,24 @@ def geometry_relative_error(case: GeometryCase) -> float:
     if exterior == 0.0:
         return math.inf
     return interior / exterior
+
+
+def conductance_ratios(net: ThermalNetwork, controlled: tuple[int, ...]) -> tuple[float, ...]:
+    """r_i = sum_{j uncontrolled} alpha_ij / alpha_i0 of each controlled zone i, zones numbered 1..n.
+
+    By the rule of ``geometry_relative_error``: 0 without an uncontrolled
+    neighbour, inf without an outdoor conductance. Under a constant price,
+    with the uncontrolled zones on their setpoints and every zone starting
+    and ending at its baseline temperature, error / true = sum_i alpha_i0
+    X_i r_i / sum_i alpha_i0 X_i, X_i being the drop in zone i's temperature
+    integral: r_1 exactly with one controlled zone, in any network. With
+    several, it lies in [min r, max r] for sure only when every X_i has one sign.
+    """
+    if not all(1 <= i <= net.n for i in controlled):
+        raise ValueError(f"controlled zones {tuple(controlled)} out of range 1..{net.n}")
+    alpha = net.conductances_kw_per_c
+    uncontrolled = [j for j in range(1, net.n + 1) if j not in controlled]
+    return tuple(
+        geometry_relative_error(GeometryCase(float(alpha[i, uncontrolled].sum()), float(alpha[i, 0]), 1.0, 1.0))
+        for i in controlled
+    )

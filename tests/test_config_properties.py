@@ -1,15 +1,16 @@
 """Property tests for config files: malformed fields never end in a traceback.
 
 One test replaces one field of the built-in config document (a leaf value
-or a whole section) with a drawn JSON value; the other replaces two numeric
-leaves, mostly with numbers of the config's own scale. Each document runs
-`simulate`, `optimize` and `reproduce-example --svg` in-process on a 24-step
-grid.
+or a whole section) with a drawn JSON value or a value near its own, so that
+some documents load; the other replaces two numeric leaves, mostly with
+numbers of the config's own scale. Each document runs `simulate`,
+`optimize` and `reproduce-example --svg` in-process on a 24-step grid.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import traceback
@@ -71,6 +72,19 @@ def _too_many_steps(value) -> bool:
     return _is_number(value) and not value <= STEPS
 
 
+def _near(value):
+    """Values of ``value``'s shape whose numbers move by up to half their size plus one."""
+    if _is_number(value):
+        low, high = value - abs(value) / 2 - 1, value + abs(value) / 2 + 1
+        floats = st.floats(low, high)
+        return st.integers(math.floor(low), math.ceil(high)) | floats if isinstance(value, int) else floats
+    if isinstance(value, list):
+        return st.tuples(*map(_near, value)).map(list)
+    if isinstance(value, dict):
+        return st.fixed_dictionaries({key: _near(child) for key, child in value.items()})
+    return st.just(value)
+
+
 COMMANDS = (("simulate",), ("optimize",), ("reproduce-example", "--svg"))
 
 
@@ -98,9 +112,13 @@ def check_every_command(doc: dict) -> None:
             assert err.strip(), f"{command[0]} exited {code} with nothing on stderr"
 
 
+FIELDS = st.sampled_from(PATHS).flatmap(lambda p: st.tuples(st.just(p), _near(_at(BASE_DOC, p)) | JSON_VALUES))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(path=st.sampled_from(PATHS), value=JSON_VALUES)
-def test_one_replaced_field_exits_with_a_message(path, value):
+@given(field=FIELDS)
+def test_one_replaced_field_exits_with_a_message(field):
+    path, value = field
     assume(not (path == ("grid", "steps") and _too_many_steps(value)))
     check_every_command(_replaced(BASE_DOC, path, value))
 

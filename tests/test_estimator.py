@@ -12,6 +12,7 @@ from conftest import perturbed_pair, piecewise_constant_price, random_cost, rand
 from crosszone.estimator import (
     BoundaryMismatchWarning,
     GeometryCase,
+    conductance_ratios,
     corrected_savings,
     geometry_relative_error,
     naive_savings,
@@ -19,8 +20,8 @@ from crosszone.estimator import (
     overestimation_error,
     per_zone_savings,
     savings_report,
-    two_zone_relative_error,
 )
+from crosszone.lp import ComfortSchedule, optimize_controlled_zones
 from crosszone.model import CostModel, Signal, ThermalNetwork, TimeGrid
 from crosszone.scenario import SetpointPlan, WeatherSeries, run_baseline, run_experiment
 
@@ -318,6 +319,25 @@ class TestBuildingMismatch:
         with pytest.raises(ValueError, match=match):
             savings_report(base, exp, net, cost, plan)
 
+    @pytest.mark.parametrize("zones, steps", [(2, 48), (4, 48), (3, 47)], ids=["2-zone", "4-zone", "wrong-steps"])
+    def test_cost_for_another_building(self, zones, steps):
+        # A 4-zone cost once read its first three rows; a 2-zone one raised IndexError.
+        net, plan, base, exp, _ = self.three_zone_runs()
+        cost = CostModel.uniform(np.full(steps, 0.05), zones)
+        calls = [
+            lambda: per_zone_savings(base, exp, cost, 1),
+            lambda: naive_savings(base, exp, cost, plan),
+            lambda: oracle_true_savings(base, exp, cost),
+            lambda: overestimation_error(base, exp, net, cost, plan),
+            lambda: corrected_savings(base, exp, net, cost, "a"),
+            lambda: corrected_savings(base, exp, net, cost, "b"),
+            lambda: savings_report(base, exp, net, cost, plan),
+        ]
+        match = re.escape(f"prices have shape ({zones}, {steps}), expected (3, 48) (zones, steps)")
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
     def test_network_for_another_building(self, two_zone_network):
         _, plan, base, exp, cost = self.three_zone_runs()
         match = "network has 2 zones, trajectories have 3"
@@ -358,18 +378,18 @@ class TestSavingsReport:
 
 class TestClosedForms:
     def test_two_zone_conductance_ratio(self, two_zone_network):
-        assert two_zone_relative_error(two_zone_network) == 2.0
+        assert conductance_ratios(two_zone_network, (1,)) == (2.0,)
 
     def test_detached_zones_have_no_error(self):
         net = ThermalNetwork(
             [0.27, 0.81], [[0.0, 0.045, 0.135], [0.045, 0.0, 0.0], [0.135, 0.0, 0.0]]
         )
-        assert two_zone_relative_error(net) == 0.0
+        assert conductance_ratios(net, (1,)) == (0.0,)
 
     def test_uncoupled_zone_has_no_error(self):
         # Zone 1 exchanges no heat with anything: none of its savings are fictitious.
         net = ThermalNetwork([0.27, 0.81], [[0.0, 0.0, 0.135], [0.0, 0.0, 0.0], [0.135, 0.0, 0.0]])
-        assert two_zone_relative_error(net) == 0.0
+        assert conductance_ratios(net, (1,)) == (0.0,)
         grid, plan, base, exp = cold_snap_pair(net)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
         assert overestimation_error(base, exp, net, cost, plan) == 0.0
@@ -379,12 +399,12 @@ class TestClosedForms:
         net = ThermalNetwork(
             [0.27, 0.81], [[0.0, 0.0, 0.135], [0.0, 0.0, 0.090], [0.135, 0.090, 0.0]]
         )
-        assert two_zone_relative_error(net) == math.inf
+        assert conductance_ratios(net, (1,)) == (math.inf,)
 
-    def test_requires_two_zones(self):
-        net = ThermalNetwork([0.27], [[0.0, 0.045], [0.045, 0.0]])
-        with pytest.raises(ValueError, match="2-zone"):
-            two_zone_relative_error(net)
+    @pytest.mark.parametrize("controlled", [(0,), (1, 3)])
+    def test_zone_outside_network_rejected(self, two_zone_network, controlled):
+        with pytest.raises(ValueError, match=re.escape(f"controlled zones {controlled} out of range 1..2")):
+            conductance_ratios(two_zone_network, controlled)
 
     def test_square_two_exterior_walls_double_insulation(self):
         case = GeometryCase.square_footprint(2, insulation_ratio=2.0)
@@ -414,3 +434,94 @@ class TestClosedForms:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             GeometryCase(u_int=-1.0, u_ext=1.0, a_int=1.0, a_ext=1.0)
+
+
+def outdoor_floor_network(rng, n, floor=0.01):
+    """Random network in which every zone has an outdoor conductance of at least ``floor``."""
+    alpha = random_network(rng, n).conductances_kw_per_c.copy()
+    alpha[0, 1:] = alpha[1:, 0] = np.maximum(alpha[0, 1:], floor)
+    return ThermalNetwork(rng.uniform(0.3, 1.2, n), alpha)
+
+
+def planned_report(net, plan, price=0.05, k=48):
+    """Constant-price study with no gains: the LP plans the controlled zones, the rest track."""
+    grid = TimeGrid(0.5, k)
+    weather = WeatherSeries(grid, Signal(np.full(k, -5.0)), Signal(np.zeros(k)))
+    gains = np.zeros((k, net.n))
+    prices = np.full(k, price)
+    base = run_baseline(net, plan, weather, gains, grid)
+    opt = optimize_controlled_zones(net, plan, grid, prices, ComfortSchedule(np.full(k, 1.0)), gains, weather.outdoor)
+    exp = run_experiment(net, plan, weather, gains, grid, opt.q_kw)
+    return base, exp, savings_report(base, exp, net, CostModel.uniform(prices, net.n), plan)
+
+
+def weighted_ratio(net, plan, base, exp):
+    """sum_i alpha_i0 X_i r_i / sum_i alpha_i0 X_i over the controlled zones, X_i = drop in temperature integral."""
+    zones = np.asarray(plan.controlled)
+    drop = (base.temp_integrals_c_h - exp.temp_integrals_c_h).sum(axis=0)[zones - 1]
+    weight = net.conductances_kw_per_c[0, zones] * drop
+    ratios = np.array(conductance_ratios(net, plan.controlled))
+    return float(weight @ ratios / weight.sum()), drop, ratios
+
+
+class TestErrorRatioLaw:
+    """Under a constant price the measured error ratio follows the conductance ratios."""
+
+    @staticmethod
+    def core_floor():
+        # Four perimeter zones in a ring around a core that has no outdoor wall.
+        alpha = np.zeros((6, 6))
+        for i in range(1, 5):
+            alpha[0, i] = alpha[i, 0] = 0.09
+            alpha[i, 5] = alpha[5, i] = 0.03
+            alpha[i, i % 4 + 1] = alpha[i % 4 + 1, i] = 0.02
+        return ThermalNetwork([0.5, 0.5, 0.5, 0.5, 1.0], alpha), [21.0] * 4 + [22.0]
+
+    def test_interior_core_saves_nothing(self):
+        net, setpoints = self.core_floor()
+        plan = SetpointPlan(setpoints, (5,))
+        assert conductance_ratios(net, plan.controlled) == (math.inf,)
+        _, _, report = planned_report(net, plan)
+        assert report.naive_controlled_usd == pytest.approx(0.0954, abs=5e-4)
+        assert abs(report.oracle_true_usd) < 1e-12
+        assert report.relative_error is None
+
+    def test_perimeter_zones_measure_their_ratio(self):
+        net, setpoints = self.core_floor()
+        plan = SetpointPlan(setpoints, (1, 2, 3, 4))
+        assert conductance_ratios(net, plan.controlled) == pytest.approx([1 / 3] * 4, rel=1e-15)
+        _, _, report = planned_report(net, plan)
+        assert report.relative_error == pytest.approx(1 / 3, rel=1e-9)
+
+    def test_one_controlled_zone_in_any_network(self):
+        rng = np.random.default_rng(8)
+        for trial in range(6):
+            net = outdoor_floor_network(rng, 6)
+            plan = SetpointPlan(rng.uniform(20.5, 21.5, 6), (int(rng.integers(1, 7)),))
+            _, _, report = planned_report(net, plan)
+            (ratio,) = conductance_ratios(net, plan.controlled)
+            assert report.oracle_true_usd > 0.01
+            assert report.relative_error == pytest.approx(ratio, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_several_controlled_zones(self, m):
+        rng = np.random.default_rng(20 + m)
+        for trial in range(3):
+            net = outdoor_floor_network(rng, 6)
+            controlled = tuple(int(z) for z in rng.choice(np.arange(1, 7), size=m, replace=False))
+            plan = SetpointPlan(rng.uniform(20.5, 21.5, 6), controlled)
+            base, exp, report = planned_report(net, plan)
+            assert report.relative_error == pytest.approx(weighted_ratio(net, plan, base, exp)[0], rel=1e-9)
+
+    def test_mixed_signs_leave_the_ratio_range(self):
+        # Zone 2 ends warmer than baseline on the whole, so the weighted mean
+        # of the ratios has a negative weight: 0.165 against r in [0.437, 6.19].
+        rng = np.random.default_rng(2)
+        net = outdoor_floor_network(rng, 5)
+        plan = SetpointPlan(np.full(5, 21.0), (1, 2, 3))
+        base, exp = perturbed_pair(rng, net, plan, TimeGrid(0.25, 24))
+        report = savings_report(base, exp, net, CostModel.uniform(np.full(24, 0.1), 5), plan)
+        law, drop, ratios = weighted_ratio(net, plan, base, exp)
+        assert drop.min() < 0.0 < drop.max()
+        assert not ratios.min() <= report.relative_error <= ratios.max()
+        assert report.relative_error == pytest.approx(law, rel=1e-9)
