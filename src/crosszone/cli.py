@@ -58,10 +58,11 @@ def _atomic_write(path: str, text: str) -> None:
             fh.write(text)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ConfigError(path, f"cannot write: {exc.strerror}") from None
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _layout(n: int) -> tuple[list[str], dict[str, int | slice]]:

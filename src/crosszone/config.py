@@ -59,7 +59,7 @@ class RunConfig:
     synthetic_weather_kwargs: dict
     q_min_kw: float
     q_max_kw: float
-    constant_price: bool = False
+    constant_price: bool = False  # set by reproduce-example --constant-price
 
     def comfort(self) -> ComfortSchedule:
         return ComfortSchedule.from_bands(
@@ -108,7 +108,6 @@ _DEFAULT_DOC = {
     "comfort": {"tight_band_c": 1.0, "wide_band_c": 2.0, "tight_hours": [[6, 9], [18, 22]]},
     "weather": {"csv": None, "synthetic": {}},
     "power_limits": {"min_kw": 0.0, "max_kw": None},
-    "constant_price": False,
 }
 
 
@@ -276,9 +275,6 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         q_max = math.inf if limits["max_kw"] is None else _number(limits["max_kw"])
     if q_min > q_max:
         raise ConfigError("power_limits.min_kw", f"{q_min:g} exceeds max_kw {q_max:g}")
-    constant_price = doc["constant_price"]
-    if not isinstance(constant_price, bool):
-        raise ConfigError("constant_price", f"must be true or false, got {constant_price!r}")
 
     return RunConfig(
         network=network,
@@ -296,5 +292,4 @@ def _parse(doc: dict, base_dir: str) -> RunConfig:
         synthetic_weather_kwargs=synthetic,
         q_min_kw=q_min,
         q_max_kw=q_max,
-        constant_price=constant_price,
     )

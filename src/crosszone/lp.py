@@ -9,9 +9,11 @@ per-step comfort band around the setpoint.
 An LP keeps its equality matrix as column-ordered triplets of its nonzeros,
 from ``build_control_lp`` through the solver and the certificates; a dense
 copy is built only when ``LpProblem.a_eq`` is read. Problems are solved by a
-self-contained revised simplex over bounded variables (two phases), whose
-artificial columns are implicit. The basis inverse is dense and explicit,
-updated per pivot and refactorized periodically by triangular substitution
+self-contained revised simplex over bounded variables (two phases), which
+stores [A | S], S the signed artificial columns, as one set of triplets and
+starts from the artificial basis through the same refactorization as any
+other basis. The basis inverse is dense and explicit, updated per pivot
+and refactorized periodically by triangular substitution
 over the basis's column singletons (Hellerman & Rarick, "Reinversion with
 the preassigned pivot procedure", Math. Programming 1, 1971). The kernel
 they leave is inverted by its block triangular form: a maximum transversal
@@ -422,9 +424,12 @@ def _block_triangular_inverse(
 class _Simplex:
     """Bounded-variable revised simplex over [A | S], S = diag(sign) the artificials.
 
-    A is read from the problem's column-ordered triplets (``row``, ``col``,
-    ``val``, plus the column pointer ``col_start``); artificial column n + i
-    is ``sign[i] * e_i`` and is never stored. The basis inverse is dense.
+    [A | S] is kept as column-ordered triplets (``row``, ``col``, ``val``,
+    plus the column pointer ``col_start``): the problem's nonzeros, then
+    artificial column n + i as ``sign[i] * e_i``. The start puts every
+    column at a bound (free ones at 0) and the artificials in the basis,
+    each signed so that its value |b - A x|_i is nonnegative; ``refactor``
+    then computes B^-1 and x_B, as for any basis. The basis inverse is dense.
 
     A column's bound status is its pricing weight, kept across both phases:
     -1 at its lower bound, +1 at its upper, 0 when basic or fixed, so a bounded
@@ -436,55 +441,47 @@ class _Simplex:
     def __init__(self, prob: LpProblem):
         m, n = prob.n_rows, prob.n_vars
         self.m, self.n = m, n
-        self.prob = prob
-        self.col_start = np.searchsorted(prob.col, np.arange(n + 1))
+        self.b_eq = prob.b_eq
         weight = np.where(np.isfinite(prob.lower), -1.0, np.where(np.isfinite(prob.upper), 1.0, 0.0))
         x0 = np.where(weight < 0, prob.lower, np.where(weight > 0, prob.upper, 0.0))
-        resid = prob.b_eq - prob.matvec(x0)
-        self.sign = np.where(resid >= 0.0, 1.0, -1.0)
+        sign = np.where(prob.matvec(x0) <= prob.b_eq, 1.0, -1.0)
+        self.row = np.concatenate([prob.row, np.arange(m)])
+        self.col = np.concatenate([prob.col, np.arange(n, n + m)])
+        self.val = np.concatenate([prob.val, sign])
+        self.col_start = np.searchsorted(self.col, np.arange(n + m + 1))
         self.lower = np.concatenate([prob.lower, np.zeros(m)])
         self.upper = np.concatenate([prob.upper, np.full(m, np.inf)])
-        self.x = np.concatenate([x0, np.abs(resid)])
+        self.x = np.concatenate([x0, np.zeros(m)])
         self.free = np.nonzero(weight == 0.0)[0]
         self.weight = np.concatenate([weight, np.zeros(m)])
         self.weight[self.lower == self.upper] = 0.0
         self.basis = np.arange(n, n + m)
-        self.b_inv = np.diag(self.sign)
         self.iterations = 0
-        self.pivots_since_refactor = 0
         self.degenerate_run = 0
-        self.y = np.zeros(m)
+        self.refactor()
 
     def _price(self, y: np.ndarray) -> np.ndarray:
         """[A | S]^T y."""
-        return np.concatenate([self.prob.rmatvec(y), self.sign * y])
+        return np.bincount(self.col, weights=self.val * y[self.row], minlength=self.n + self.m)
 
     def _times(self, v: np.ndarray) -> np.ndarray:
         """[A | S] v."""
-        return self.prob.matvec(v) + self.sign * v[self.n :]
+        return np.bincount(self.row, weights=self.val * v[self.col], minlength=self.m)
 
     def _column(self, j: int) -> np.ndarray:
         """B^-1 times column j of [A | S]."""
-        if j >= self.n:
-            i = j - self.n
-            return self.sign[i] * self.b_inv[:, i]
         nz = slice(self.col_start[j], self.col_start[j + 1])
-        return self.b_inv[:, self.prob.row[nz]] @ self.prob.val[nz]
+        return self.b_inv[:, self.row[nz]] @ self.val[nz]
 
     def _basis_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The basic columns of [A | S] as (row, basis position, value) triplets."""
         pos = np.full(self.n + self.m, -1)
         pos[self.basis] = np.arange(self.m)
-        basic = pos[self.prob.col] >= 0
-        art = np.nonzero(pos[self.n :] >= 0)[0]
-        return (
-            np.concatenate([self.prob.row[basic], art]),
-            np.concatenate([pos[self.prob.col[basic]], pos[self.n + art]]),
-            np.concatenate([self.prob.val[basic], self.sign[art]]),
-        )
+        basic = pos[self.col] >= 0
+        return self.row[basic], pos[self.col[basic]], self.val[basic]
 
     def refactor(self) -> None:
-        """Recompute B^-1, then the basic x, from the basis alone.
+        """Compute B^-1, then the basic x, from the basis and the nonbasic x alone.
 
         Columns with a single entry outside the rows already taken are
         peeled off in rounds; ordered by round, they make B block upper
@@ -516,19 +513,19 @@ class _Simplex:
             rounds.append((r, c, vals[single]))
 
         kernel_rows, kernel_cols = np.nonzero(row_round < 0)[0], np.nonzero(~col_taken)[0]
+        self.b_inv = None  # no row of an old inverse is read: free it first
         if kernel_rows.size:
             at_row, at_col = np.empty(m, dtype=int), np.empty(m, dtype=int)
             at_row[kernel_rows] = np.arange(kernel_rows.size)
             at_col[kernel_cols] = np.arange(kernel_cols.size)
-            self.b_inv = None  # no row of the old inverse is read: free it first
             kernel, order = _block_triangular_inverse(
                 at_row[rows[live]], at_col[cols[live]], vals[live], kernel_rows.size
             )
-            self.b_inv = np.zeros((m, m))
-            if kernel_rows.size == m:  # nothing was peeled: a row scatter is far cheaper
-                self.b_inv[order] = kernel
-            else:
-                self.b_inv[np.ix_(kernel_cols[order], kernel_rows)] = kernel
+        self.b_inv = np.zeros((m, m))
+        if kernel_rows.size == m > 0:  # nothing was peeled: a row scatter is far cheaper
+            self.b_inv[order] = kernel
+        elif kernel_rows.size:
+            self.b_inv[np.ix_(kernel_cols[order], kernel_rows)] = kernel
 
         # Row r of B X = I, for the column c pivoting on it, reads
         # X[c] = (e_r - sum of B[r, c'] X[c'] over columns c' of later rounds
@@ -538,7 +535,6 @@ class _Simplex:
         cut = np.searchsorted(row_round[rows[by_round]], np.arange(len(rounds) + 1))
         for t in range(len(rounds) - 1, -1, -1):
             r, c, v = rounds[t]
-            self.b_inv[c] = 0.0
             self.b_inv[c, r] = 1.0
             off = by_round[cut[t] : cut[t + 1]]
             off = off[np.argsort(rows[off], kind="stable")]
@@ -553,7 +549,7 @@ class _Simplex:
 
         x_nonbasic = self.x.copy()
         x_nonbasic[self.basis] = 0.0
-        self.x[self.basis] = self.b_inv @ (self.prob.b_eq - self._times(x_nonbasic))
+        self.x[self.basis] = self.b_inv @ (self.b_eq - self._times(x_nonbasic))
         self.pivots_since_refactor = 0
 
     def run_phase(self, c_phase: np.ndarray, max_iter: int, allow_unbounded: bool) -> str:

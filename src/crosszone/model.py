@@ -83,10 +83,6 @@ class ThermalNetwork:
         """Number of zones (outdoor node excluded)."""
         return self.capacitances_kwh_per_c.shape[0]
 
-    def conductance(self, i: int, j: int) -> float:
-        """Conductance between nodes i and j (0 = outdoors) [kW/degC]."""
-        return float(self.conductances_kw_per_c[i, j])
-
     def _violations(self) -> list[str]:
         """Every violated invariant (empty list when valid)."""
         out: list[str] = []

@@ -112,11 +112,12 @@ class TestSimulate:
         path.write_text("{not json", encoding="utf-8")
         assert run_cli("simulate", "--config", path, "--out-dir", tmp_path) == 2
 
-    @pytest.mark.parametrize("value", ["no", 0, 1, None])
-    def test_non_boolean_constant_price_exits_two(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, True])
+    def test_constant_price_field_is_unknown(self, tmp_path, capsys, value):
+        # The time-averaged price is chosen by the --constant-price flag alone.
         cfg = write_config(tmp_path, constant_price=value)
         assert run_cli("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
-        assert "constant_price" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: constant_price: unknown field\n"
 
     def test_unknown_synthetic_weather_key_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, weather={"synthetic": {"typo_mean": -10}})
@@ -422,6 +423,29 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
+    @pytest.mark.parametrize(
+        "kept, message",
+        [
+            (0, "empty file"),
+            (1, "needs at least one step plus the final sample row"),
+            (None, "time column is not uniform"),
+        ],
+        ids=["empty", "header-only", "uneven-time"],
+    )
+    def test_unusable_file_exits_four(self, tmp_path, capsys, kept, message):
+        cfg, out = self._produce(tmp_path)
+        path = out / "experiment.csv"
+        lines = path.read_text().splitlines()
+        if kept is None:
+            fields = lines[4].split(",")
+            fields[1] = "0.8"
+            lines[4] = ",".join(fields)
+        else:
+            lines = lines[:kept]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert run_cli("estimate", "--config", cfg, "--out-dir", out) == 4
+        assert capsys.readouterr().err == f"data mismatch: {path}: {message}\n"
+
     def test_rows_are_named_by_line_number_past_blank_lines(self, tmp_path, capsys):
         cfg, out = self._produce(tmp_path)
         path = out / "experiment.csv"
@@ -531,6 +555,15 @@ def test_unreadable_path_exits_naming_it(tmp_path, capsys, command, target, kind
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "baseline.csv"), ("reproduce-example", "savings_report.json")])
+def test_output_path_that_is_a_directory_exits_two(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run_cli(command, "--config", write_config(tmp_path), "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {out / name}: cannot write: ")
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp-")]
+
+
 def test_trajectory_csv_bytes(tmp_path):
     traj = Trajectory(
         grid=TimeGrid(0.25, 2),
@@ -603,6 +636,14 @@ class TestReproduceExample:
         ) == 0
         report = json.loads((out / "savings_report.json").read_text())
         assert report["relative_error"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_zero_comfort_band_leaves_the_error_undefined(self, tmp_path, capsys):
+        # Held at its setpoint, the controlled zone saves nothing, so the
+        # measured ratio has no denominator; the prediction is still printed.
+        cfg = write_config(tmp_path, comfort={"tight_band_c": 0.0, "wide_band_c": 0.0})
+        assert run_cli("reproduce-example", "--config", cfg, "--out-dir", tmp_path / "run") == 0
+        out = capsys.readouterr().out
+        assert "relative error: undefined (true savings ~0); constant-price prediction 2.0000\n" in out
 
     def test_geometry_grid_levels(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -2,8 +2,9 @@
 
 One test replaces one field of the built-in config document (a leaf value
 or a whole section) with a drawn JSON value or a value near its own, so that
-some documents load; the other replaces two numeric leaves, mostly with
-numbers of the config's own scale. Each document runs `simulate`,
+some documents load; another replaces two numeric leaves, mostly with
+numbers of the config's own scale; the last caps the heating power at a
+few kW, so that some plans are infeasible. Each document runs `simulate`,
 `optimize` and `reproduce-example --svg` in-process on a 24-step grid.
 """
 
@@ -72,16 +73,28 @@ def _too_many_steps(value) -> bool:
     return _is_number(value) and not value <= STEPS
 
 
-def _near(value):
-    """Values of ``value``'s shape whose numbers move by up to half their size plus one."""
+# The built-in study leaves the heating power uncapped (null); a cap of a few
+# kW makes some documents infeasible, so the commands' exit 3 is reached too.
+MAX_KW = ("power_limits", "max_kw")
+CAPS = st.floats(0.0, 5.0)
+
+
+def _near(value, path=()):
+    """Values of ``value``'s shape whose numbers move by up to half their size plus one.
+
+    ``path`` locates ``value`` in the config document; the heating cap is
+    drawn uncapped or from ``CAPS``.
+    """
+    if path == MAX_KW:
+        return st.none() | CAPS
     if _is_number(value):
         low, high = value - abs(value) / 2 - 1, value + abs(value) / 2 + 1
         floats = st.floats(low, high)
         return st.integers(math.floor(low), math.ceil(high)) | floats if isinstance(value, int) else floats
     if isinstance(value, list):
-        return st.tuples(*map(_near, value)).map(list)
+        return st.tuples(*(_near(child, path + (i,)) for i, child in enumerate(value))).map(list)
     if isinstance(value, dict):
-        return st.fixed_dictionaries({key: _near(child) for key, child in value.items()})
+        return st.fixed_dictionaries({key: _near(child, path + (key,)) for key, child in value.items()})
     return st.just(value)
 
 
@@ -112,7 +125,7 @@ def check_every_command(doc: dict) -> None:
             assert err.strip(), f"{command[0]} exited {code} with nothing on stderr"
 
 
-FIELDS = st.sampled_from(PATHS).flatmap(lambda p: st.tuples(st.just(p), _near(_at(BASE_DOC, p)) | JSON_VALUES))
+FIELDS = st.sampled_from(PATHS).flatmap(lambda p: st.tuples(st.just(p), _near(_at(BASE_DOC, p), p) | JSON_VALUES))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -124,8 +137,8 @@ def test_one_replaced_field_exits_with_a_message(field):
 
 
 # Numbers of the config's own scale let some two-field documents load and reach the solver.
-NUMBER_PATHS = [p for p in PATHS if _is_number(_at(BASE_DOC, p))]
-NUMBERS = st.integers(-2, 30) | st.floats(-50.0, 50.0) | JSON_VALUES
+NUMBER_PATHS = [p for p in PATHS if _is_number(_at(BASE_DOC, p))] + [MAX_KW]
+NUMBERS = st.integers(-2, 30) | st.floats(-50.0, 50.0) | CAPS | JSON_VALUES
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -139,3 +152,15 @@ def test_two_replaced_fields_exit_with_a_message(paths, values):
         assume(not (path == ("grid", "steps") and _too_many_steps(value)))
         doc = _replaced(doc, path, value)
     check_every_command(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(cap=CAPS)
+def test_capped_heating_exits_zero_or_three(cap):
+    # Too low a cap leaves the cold snap's comfort band out of reach: the
+    # planning commands exit 3 with the solver's status, simulate still runs.
+    doc = _replaced(BASE_DOC, MAX_KW, cap)
+    for command in COMMANDS:
+        code, err = run(command, doc)
+        assert code in ((0,) if command == ("simulate",) else (0, 3)), err
+        assert code == 0 or err.startswith("optimization infeasible: "), err

@@ -358,7 +358,7 @@ class TestSparseStorage:
             upper=lo + 2.0,
         )
         sim = lp_module._Simplex(prob)
-        full = np.hstack([prob.a_eq, np.diag(sim.sign)])
+        full = np.hstack([prob.a_eq, np.diag(np.where(prob.a_eq @ lo <= prob.b_eq, 1.0, -1.0))])
         # Swap random structural columns into the basis while it stays nonsingular.
         for j in rng.permutation(n)[:m]:
             trial = sim.basis.copy()
@@ -384,6 +384,27 @@ class TestSparseStorage:
             np.testing.assert_allclose(sim._times(v), full @ v, rtol=0, atol=1e-13)
             for j in range(full.shape[1]):
                 np.testing.assert_allclose(sim._column(j), sim.b_inv @ full[:, j], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["builtin-study", "mixed-bounds"])
+    def test_start_is_the_signed_artificial_basis(self, case):
+        # Every column at a bound (a free one at 0); refactor gives B^-1 = S
+        # and x_B = |b - A x_N| to the bit.
+        if case == "builtin-study":
+            prob = builtin_study_lp()
+        else:
+            prob = LpProblem(
+                c=[1.0, -1.0, 0.0],
+                nonzeros=triplets([[1.0, 2.0, 0.0], [0.0, 1.0, -3.0]]),
+                b_eq=[1.0, 7.0],
+                lower=[-np.inf, -np.inf, 0.0],
+                upper=[np.inf, 2.0, 1.0],
+            )
+        x0 = np.where(np.isfinite(prob.lower), prob.lower, np.where(np.isfinite(prob.upper), prob.upper, 0.0))
+        resid = prob.b_eq - prob.matvec(x0)
+        sim = lp_module._Simplex(prob)
+        np.testing.assert_array_equal(sim.basis, np.arange(prob.n_vars, prob.n_vars + prob.n_rows))
+        np.testing.assert_array_equal(sim.b_inv, np.diag(np.where(resid >= 0, 1.0, -1.0)))
+        np.testing.assert_array_equal(sim.x, np.concatenate([x0, np.abs(resid)]))
 
 
 def random_control_inputs(rng, m, k, dt_h=0.25, zero_band=False):

@@ -24,7 +24,7 @@ def violations(capacitances, conductances) -> list[str]:
 class TestNetworkValidation:
     def test_two_zone_study_network_is_valid(self, two_zone_network):
         assert two_zone_network.n == 2
-        assert two_zone_network.conductance(1, 2) == 0.090
+        assert two_zone_network.conductances_kw_per_c[1, 2] == 0.090
         assert two_zone_network.capacitances_kwh_per_c[1] == 0.81
 
     def test_asymmetric_matrix_reports_indices(self):
