@@ -16,12 +16,7 @@ from .estimator import (
     SavingsReport,
     ZoneSavings,
     conductance_ratios,
-    corrected_savings,
     geometry_relative_error,
-    naive_savings,
-    oracle_true_savings,
-    overestimation_error,
-    per_zone_savings,
     savings_report,
 )
 from .linalg import matrix_exp
@@ -86,17 +81,12 @@ __all__ = [
     "build_control_lp",
     "conductance_ratios",
     "cop",
-    "corrected_savings",
     "discretize",
     "geometry_relative_error",
     "kkt_residuals",
     "load_weather",
     "matrix_exp",
-    "naive_savings",
     "optimize_controlled_zones",
-    "oracle_true_savings",
-    "overestimation_error",
-    "per_zone_savings",
     "run_baseline",
     "run_experiment",
     "savings_report",

@@ -1,7 +1,7 @@
 """Savings accounting for partial advanced-control experiments.
 
 Comparing a baseline run against an experiment that controls only some
-zones, this module computes:
+zones, ``savings_report`` computes:
 
 * naive savings: the cost change summed over controlled zones only, which
   is what a controlled-zones-only measurement campaign observes;
@@ -38,11 +38,6 @@ __all__ = [
     "SavingsReport",
     "GeometryCase",
     "BoundaryMismatchWarning",
-    "per_zone_savings",
-    "naive_savings",
-    "overestimation_error",
-    "corrected_savings",
-    "oracle_true_savings",
     "savings_report",
     "conductance_ratios",
     "geometry_relative_error",
@@ -75,11 +70,25 @@ class ZoneSavings:
 
 @dataclass(frozen=True)
 class SavingsReport:
-    """All savings estimates for one baseline/experiment pair.
+    """All savings estimates for one baseline/experiment pair [$].
 
-    ``relative_error`` is overestimation error over true savings, or None
-    when the true savings are too close to zero for the ratio to mean
-    anything.
+    Attributes:
+        naive_controlled_usd: metered savings of the controlled zones only
+            (the biased headline).
+        overestimation_error_usd: the cost the uncontrolled zones take on
+            (sum_ij alpha_ij int a_j x_i, i controlled and j not, when they
+            are pinned); 0.0 when every zone is controlled.
+        corrected_form_a_usd: whole-building savings from zone temperatures
+            alone, exact for any start and end state.
+        corrected_form_b_usd: form a summed by parts. When a zone starts or
+            ends off its baseline it falls short by the boundary term
+            sum_z C_z (a_z(K-1) x_z(K) - a_z(0) x_z(0)), which a
+            BoundaryMismatchWarning reports.
+        oracle_true_usd: metered savings summed over every zone.
+        per_zone: each zone's metered costs, zones numbered 1..n.
+        relative_error: overestimation error over true savings, or None
+            when the true savings are too close to zero for the ratio to
+            mean anything.
     """
 
     naive_controlled_usd: float
@@ -91,10 +100,7 @@ class SavingsReport:
     relative_error: float | None
 
 
-def _check(
-    base: Trajectory, exp: Trajectory, cost: CostModel,
-    net: ThermalNetwork | None = None, plan: SetpointPlan | None = None,
-) -> None:
+def _check(base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, plan: SetpointPlan) -> None:
     """Refuse runs, prices, network or plan that do not describe one building."""
     grid_a, grid_b = base.grid, exp.grid
     if (grid_a.steps, grid_a.dt_h, base.n) != (grid_b.steps, grid_b.dt_h, exp.n):
@@ -105,39 +111,8 @@ def _check(
     if (shape := cost.prices_usd_per_kwh.shape) != (base.n, grid_a.steps):
         raise ValueError(f"prices have shape {shape}, expected {(base.n, grid_a.steps)} (zones, steps)")
     for what, other in (("network has", net), ("plan covers", plan)):
-        if other is not None and other.n != base.n:
+        if other.n != base.n:
             raise ValueError(f"{what} {other.n} zones, trajectories have {base.n}")
-
-
-def _metered(base: Trajectory, exp: Trajectory, cost: CostModel) -> list[float]:
-    """Each zone's metered savings [$], summed over contiguous rows: a strided column may sum in another order."""
-    dq = (base.powers_kw - exp.powers_kw).T.copy()
-    return [float(a @ d) * base.grid.dt_h for a, d in zip(cost.prices_usd_per_kwh, dq)]
-
-
-def per_zone_savings(base: Trajectory, exp: Trajectory, cost: CostModel, zone: int) -> float:
-    """Cost savings realized in one zone [$], zones numbered 1..n.
-
-    Price-weighted difference of delivered thermal energy; fixed cost
-    offsets cancel between the scenarios and never enter.
-    """
-    _check(base, exp, cost)
-    if not 1 <= zone <= base.n:
-        raise ValueError(f"zone {zone} out of range 1..{base.n}")
-    return _metered(base, exp, cost)[zone - 1]
-
-
-def naive_savings(base: Trajectory, exp: Trajectory, cost: CostModel, plan: SetpointPlan) -> float:
-    """Savings summed over controlled zones only (the biased headline)."""
-    _check(base, exp, cost, plan=plan)
-    saved = _metered(base, exp, cost)
-    return sum(saved[i - 1] for i in plan.controlled)
-
-
-def oracle_true_savings(base: Trajectory, exp: Trajectory, cost: CostModel) -> float:
-    """Whole-building savings: cost change summed over every zone [$]."""
-    _check(base, exp, cost)
-    return sum(_metered(base, exp, cost))
 
 
 def _zone_savings(
@@ -181,65 +156,23 @@ def _warn_off_baseline(base: Trajectory, exp: Trajectory, net: ThermalNetwork, c
         )
 
 
-def _uncontrolled_cost(zone_savings: np.ndarray, plan: SetpointPlan) -> float:
-    # 0.0 - s rather than -s: with no uncontrolled zone the error is 0.0, not -0.0.
-    return 0.0 - float(zone_savings[np.asarray(plan.uncontrolled, dtype=int) - 1].sum())
-
-
-def overestimation_error(
-    base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, plan: SetpointPlan
-) -> float:
-    """Amount by which controlled-zone savings overstate the truth [$].
-
-    The cost the uncontrolled zones take on, from their heat balance; with
-    pinned neighbours, sum_ij alpha_ij int a_j x_i (i controlled, j not).
-    """
-    _check(base, exp, cost, net, plan)
-    return _uncontrolled_cost(_zone_savings(base, exp, net, cost)[0], plan)
-
-
-def corrected_savings(
-    base: Trajectory,
-    exp: Trajectory,
-    net: ThermalNetwork,
-    cost: CostModel,
-    form: str = "a",
-) -> float:
-    """Whole-building savings from zone temperatures alone [$].
-
-    Sums every zone's heat balance: conductances, capacitances, prices and
-    the temperature differences x = T_base - T_exp, with no metered
-    energy. Zones that no one controlled but that moved contribute too, so
-    the neighbours need not be pinned. Form "a" is exact for any start and
-    end state. Form "b" equals it only when every zone starts and ends at
-    its baseline temperature; otherwise it falls short by the boundary term
-    sum_z C_z (a_z(K-1) x_z(K) - a_z(0) x_z(0)), which a
-    BoundaryMismatchWarning reports.
-    """
-    if form not in ("a", "b"):
-        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
-    _check(base, exp, cost, net)
-    zone_a, zone_b = _zone_savings(base, exp, net, cost)
-    if form == "a":
-        return float(zone_a.sum())
-    _warn_off_baseline(base, exp, net, cost)
-    return float(zone_b.sum())
-
-
 def savings_report(
     base: Trajectory, exp: Trajectory, net: ThermalNetwork, cost: CostModel, plan: SetpointPlan
 ) -> SavingsReport:
     """Assemble every estimate plus a per-zone cost breakdown."""
-    _check(base, exp, cost, net, plan)
+    _check(base, exp, net, cost, plan)
     dt = base.grid.dt_h
     rows = []
-    for i in range(1, base.n + 1):
-        base_cost, exp_cost = (float(cost.zone_price(i) @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
+    for i, price in enumerate(cost.prices_usd_per_kwh, 1):
+        base_cost, exp_cost = (float(price @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
         rows.append(ZoneSavings(i, base_cost, exp_cost, base_cost - exp_cost))
-    saved = _metered(base, exp, cost)
+    # Each zone's metered savings, summed over contiguous rows: a strided column may sum in another order.
+    dq = (base.powers_kw - exp.powers_kw).T.copy()
+    saved = [float(a @ d) * dt for a, d in zip(cost.prices_usd_per_kwh, dq)]
     naive = sum(saved[i - 1] for i in plan.controlled)
     zone_a, zone_b = _zone_savings(base, exp, net, cost)
-    error = _uncontrolled_cost(zone_a, plan)
+    # 0.0 - s rather than -s: with no uncontrolled zone the error is 0.0, not -0.0.
+    error = 0.0 - float(zone_a[np.asarray(plan.uncontrolled, dtype=int) - 1].sum())
     _warn_off_baseline(base, exp, net, cost)
     true = sum(saved)
     vanishing = abs(true) < 1e-9 * max(abs(naive), _RELATIVE_ERROR_FLOOR_USD)

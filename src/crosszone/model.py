@@ -201,9 +201,6 @@ class CostModel:
         v = as_values(price)
         return cls(np.tile(v, (n, 1)))
 
-    def zone_price(self, zone: int) -> np.ndarray:
-        return self.prices_usd_per_kwh[zone - 1]
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -25,14 +25,7 @@ from conftest import euler_simulate, perturbed_pair, piecewise_constant_price, r
 from crosszone.cli import _prepare_inputs, main
 from crosszone.config import default_config
 from crosszone.dynamics import discretize, simulate
-from crosszone.estimator import (
-    GeometryCase,
-    corrected_savings,
-    geometry_relative_error,
-    naive_savings,
-    oracle_true_savings,
-    overestimation_error,
-)
+from crosszone.estimator import GeometryCase, geometry_relative_error, savings_report
 from crosszone.lp import optimize_controlled_zones
 from crosszone.model import CostModel, ThermalNetwork, TimeGrid
 from crosszone.scenario import SetpointPlan, run_baseline, run_experiment
@@ -82,11 +75,9 @@ def test_criterion_1_savings_identity_suite():
         cost = CostModel(
             np.vstack([piecewise_constant_price(rng, grid.steps) for _ in range(n)])
         )
-        naive = naive_savings(base, exp, cost, plan)
-        error = overestimation_error(base, exp, net, cost, plan)
-        oracle = oracle_true_savings(base, exp, cost)
-        corr_a = corrected_savings(base, exp, net, cost, "a")
-        corr_b = corrected_savings(base, exp, net, cost, "b")
+        report = savings_report(base, exp, net, cost, plan)
+        naive, error, oracle = report.naive_controlled_usd, report.overestimation_error_usd, report.oracle_true_usd
+        corr_a, corr_b = report.corrected_form_a_usd, report.corrected_form_b_usd
         scale = max(abs(naive), abs(oracle), 0.01)
         dev = max(
             abs(naive - error - oracle), abs(corr_a - oracle), abs(corr_b - oracle)
@@ -117,8 +108,8 @@ def test_criterion_2_interior_zone_nullity():
         plan = SetpointPlan(rng.uniform(19.0, 22.0, n), controlled)
         base, exp = perturbed_pair(rng, net, plan, grid)
         cost = CostModel.uniform(np.full(24, 0.06), n)
-        naive = naive_savings(base, exp, cost, plan)
-        oracle = oracle_true_savings(base, exp, cost)
+        report = savings_report(base, exp, net, cost, plan)
+        naive, oracle = report.naive_controlled_usd, report.oracle_true_usd
         assert abs(naive) > 0.0
         assert abs(oracle) <= 1e-8 * abs(naive), (
             f"trial {trial}: true {oracle:g} not negligible vs naive {naive:g}"
@@ -140,10 +131,8 @@ def test_criterion_3_constant_price_two_zone_ratio():
         cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor
     )
     exp = run_experiment(cfg.network, cfg.plan, weather, gains, cfg.grid, opt.q_kw)
-    cost = CostModel.uniform(price, 2)
-    ratio = overestimation_error(base, exp, cfg.network, cost, cfg.plan) / oracle_true_savings(
-        base, exp, cost
-    )
+    report = savings_report(base, exp, cfg.network, CostModel.uniform(price, 2), cfg.plan)
+    ratio = report.overestimation_error_usd / report.oracle_true_usd
     assert ratio == pytest.approx(2.0, abs=1e-6)
     print(f"CRITERION 3 PASS: measured ratio {ratio:.9f} vs conductance ratio 2")
 

@@ -6,8 +6,9 @@ import pytest
 from conftest import euler_simulate, random_network
 
 from crosszone.dynamics import discretize, simulate
-from crosszone.estimator import BoundaryMismatchWarning, corrected_savings
+from crosszone.estimator import BoundaryMismatchWarning, savings_report
 from crosszone.model import CostModel, ThermalNetwork, TimeGrid, Trajectory
+from crosszone.scenario import SetpointPlan
 
 
 def single_zone_network(loss_kw_per_c: float = 0.135, cap_kwh_per_c: float = 0.27) -> ThermalNetwork:
@@ -153,7 +154,7 @@ class TestSimulate:
 def _fine_quadrature(net, grid, t_init_a, t_init_b, q_a, q_b, price, zone, substeps=10_000):
     """Independent oracle: substep propagation with scipy's expm plus a
     trapezoid sum of price * (T_a - T_b) on the fine grid."""
-    from scipy.linalg import expm
+    expm = pytest.importorskip("scipy.linalg").expm
 
     n = net.n
     alpha = net.conductances_kw_per_c
@@ -228,8 +229,12 @@ class TestWeightedIntegral:
         p1 = rng.uniform(0.01, 0.1, (2, 10))
         p2 = rng.uniform(0.01, 0.1, (2, 10))
 
+        plan = SetpointPlan([0.0, 0.0], (1,))
+
         def savings(a, b, prices):
-            return corrected_savings(a, b, two_zone_network, CostModel(prices))
+            # The two runs start apart, so form b falls short; form a is read.
+            with pytest.warns(BoundaryMismatchWarning):
+                return savings_report(a, b, two_zone_network, CostModel(prices), plan).corrected_form_a_usd
 
         v1 = savings(base, other, p1)
         v2 = savings(base, other, p2)
@@ -258,10 +263,12 @@ STORAGE_C = 0.27
 STORAGE_ONLY = ThermalNetwork([STORAGE_C], [[0.0, 0.0], [0.0, 0.0]])
 
 
-def _storage_savings(grid: TimeGrid, x: np.ndarray, price: np.ndarray, form: str) -> float:
+def _storage_savings(grid: TimeGrid, x: np.ndarray, price: np.ndarray) -> tuple[float, float]:
+    """Corrected savings of forms a and b for the deviation profile x."""
     base = _x_profile_trajectory(grid, x)
     exp = _x_profile_trajectory(grid, np.zeros(grid.steps + 1))
-    return corrected_savings(base, exp, STORAGE_ONLY, CostModel(price[None, :]), form)
+    report = savings_report(base, exp, STORAGE_ONLY, CostModel(price[None, :]), SetpointPlan([0.0], (1,)))
+    return report.corrected_form_a_usd, report.corrected_form_b_usd
 
 
 class TestStieltjesIntegral:
@@ -269,11 +276,10 @@ class TestStieltjesIntegral:
         grid = TimeGrid(dt_h=4.0, steps=6)
         x = np.array([1.0, 2.0, 0.5, 3.0, 2.0, 1.5, 1.0])
         price = np.full(6, 0.1)
-        assert _storage_savings(grid, x, price, "a") == pytest.approx(
-            STORAGE_C * 0.1 * (x[-1] - x[0]), abs=1e-15
-        )
         with pytest.warns(BoundaryMismatchWarning, match="zone 1 does not start and end"):
-            assert _storage_savings(grid, x, price, "b") == 0.0
+            form_a, form_b = _storage_savings(grid, x, price)
+        assert form_a == pytest.approx(STORAGE_C * 0.1 * (x[-1] - x[0]), abs=1e-15)
+        assert form_b == 0.0
 
     def test_modes_agree_with_pinned_endpoints(self):
         rng = np.random.default_rng(23)
@@ -282,8 +288,7 @@ class TestStieltjesIntegral:
             x = rng.uniform(-2, 2, 25)
             x[0] = x[-1] = 0.0
             price = rng.choice([0.12, 0.14, 0.16], size=24)
-            a_dx = _storage_savings(grid, x, price, "a")
-            x_da = _storage_savings(grid, x, price, "b")
+            a_dx, x_da = _storage_savings(grid, x, price)
             assert a_dx == pytest.approx(x_da, abs=1e-12)
 
     def test_hand_computed_six_step_values(self):
@@ -293,10 +298,6 @@ class TestStieltjesIntegral:
         grid = TimeGrid(dt_h=4.0, steps=6)
         price = np.array([0.12, 0.12, 0.14, 0.14, 0.16, 0.14])
         x = np.array([0.0, 1.0, 3.0, 2.0, 4.0, 1.0, 0.0])
-        assert _storage_savings(grid, x, price, "a") == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)
-        assert _storage_savings(grid, x, price, "b") == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        grid = TimeGrid(dt_h=1.0, steps=2)
-        with pytest.raises(ValueError, match="form"):
-            _storage_savings(grid, np.zeros(3), np.zeros(2), "dx_a")
+        form_a, form_b = _storage_savings(grid, x, price)
+        assert form_a == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)
+        assert form_b == pytest.approx(-0.12 * STORAGE_C, abs=1e-12)

@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +12,7 @@ from crosszone.estimator import (
     BoundaryMismatchWarning,
     GeometryCase,
     conductance_ratios,
-    corrected_savings,
     geometry_relative_error,
-    naive_savings,
-    oracle_true_savings,
-    overestimation_error,
-    per_zone_savings,
     savings_report,
 )
 from crosszone.lp import ComfortSchedule, optimize_controlled_zones
@@ -39,47 +33,47 @@ def cold_snap_pair(net, k=48, dq=-0.3, seed=2):
     return grid, plan, base, exp
 
 
+def off_baseline_report(base, exp, net, cost, plan):
+    """savings_report of runs that end off baseline, which warns that form b falls short."""
+    with pytest.warns(BoundaryMismatchWarning):
+        return savings_report(base, exp, net, cost, plan)
+
+
 class TestPerZoneSavings:
     def test_identical_trajectories_zero(self, two_zone_network):
         grid, plan, base, _ = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert per_zone_savings(base, base, cost, 1) == 0.0
+        assert savings_report(base, base, two_zone_network, cost, plan).per_zone[0].savings_usd == 0.0
 
     def test_rectangle_integral(self, two_zone_network):
         # A flat 0.1 kW reduction over 24 h at 0.05 $/kWh is $0.12.
         grid, plan, base, exp = cold_snap_pair(two_zone_network, k=96, dq=-0.1)
         cost = CostModel.uniform(np.full(96, 0.05), 2)
-        assert per_zone_savings(base, exp, cost, 1) == pytest.approx(0.12, rel=1e-12)
+        report = off_baseline_report(base, exp, two_zone_network, cost, plan)
+        assert report.per_zone[0].savings_usd == pytest.approx(0.12, rel=1e-12)
 
     def test_controlled_saves_neighbour_pays(self, two_zone_network):
         grid, plan, base, exp = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert per_zone_savings(base, exp, cost, 1) > 0.0
-        assert per_zone_savings(base, exp, cost, 2) < 0.0
+        zone1, zone2 = off_baseline_report(base, exp, two_zone_network, cost, plan).per_zone
+        assert zone1.savings_usd > 0.0
+        assert zone2.savings_usd < 0.0
 
     def test_grid_mismatch_rejected(self, two_zone_network):
-        _, _, base, _ = cold_snap_pair(two_zone_network, k=48)
+        _, plan, base, _ = cold_snap_pair(two_zone_network, k=48)
         _, _, other, _ = cold_snap_pair(two_zone_network, k=24)
         cost = CostModel.uniform(np.full(48, 0.05), 2)
         with pytest.raises(ValueError, match="grid"):
-            per_zone_savings(base, other, cost, 1)
-
-    @pytest.mark.parametrize("zone", [0, -1, 4])
-    def test_zone_outside_range_rejected(self, zone):
-        # Zone 0 once read the last zone's column and price; zone 4 raised IndexError.
-        net = random_network(np.random.default_rng(5), 3)
-        grid, _, base, exp = cold_snap_pair(net)
-        cost = CostModel.uniform(np.full(grid.steps, 0.05), 3)
-        with pytest.raises(ValueError, match=re.escape(f"zone {zone} out of range 1..3")):
-            per_zone_savings(base, exp, cost, zone)
+            savings_report(base, other, two_zone_network, cost, plan)
 
 
 class TestNaiveAndOracle:
     def test_identical_zero(self, two_zone_network):
         grid, plan, base, _ = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert naive_savings(base, base, cost, plan) == 0.0
-        assert oracle_true_savings(base, base, cost) == 0.0
+        report = savings_report(base, base, two_zone_network, cost, plan)
+        assert report.naive_controlled_usd == 0.0
+        assert report.oracle_true_usd == 0.0
 
     def test_all_zones_controlled_naive_equals_oracle(self):
         rng = np.random.default_rng(6)
@@ -88,9 +82,8 @@ class TestNaiveAndOracle:
         plan = SetpointPlan([21.0, 20.0, 22.0], (1, 2, 3))
         base, exp = perturbed_pair(rng, net, plan, grid)
         cost = random_cost(rng, 3, 24)
-        assert naive_savings(base, exp, cost, plan) == pytest.approx(
-            oracle_true_savings(base, exp, cost), rel=1e-12
-        )
+        report = savings_report(base, exp, net, cost, plan)
+        assert report.naive_controlled_usd == pytest.approx(report.oracle_true_usd, rel=1e-12)
 
 
 class TestOverestimationError:
@@ -101,7 +94,10 @@ class TestOverestimationError:
         plan = SetpointPlan([21.0] * 3, (1, 2, 3))
         base, exp = perturbed_pair(rng, net, plan, grid)
         cost = random_cost(rng, 3, 16)
-        assert overestimation_error(base, exp, net, cost, plan) == 0.0
+        error = savings_report(base, exp, net, cost, plan).overestimation_error_usd
+        assert error == 0.0
+        # +0.0, so that savings_report.json writes 0.0 and not -0.0.
+        assert math.copysign(1.0, error) == 1.0
 
     def test_decoupled_pairs_give_zero(self):
         net = ThermalNetwork(
@@ -110,7 +106,7 @@ class TestOverestimationError:
         )
         grid, plan, base, exp = cold_snap_pair(net)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert overestimation_error(base, exp, net, cost, plan) == 0.0
+        assert off_baseline_report(base, exp, net, cost, plan).overestimation_error_usd == 0.0
 
     def test_floating_neighbour_against_oracle(self):
         # A neighbour that nobody controls but that floats on its baseline
@@ -139,22 +135,21 @@ class TestOverestimationError:
                     q[:, col] += rng.uniform(-0.3, 0.1, k)
             exp = run_experiment(net, moved, weather, gains, grid, q)
             cost = random_cost(rng, n, k)
-            oracle = oracle_true_savings(base, exp, cost)
-            naive = naive_savings(base, exp, cost, plan)
-            error = overestimation_error(base, exp, net, cost, plan)
-            scale = max(abs(naive), abs(oracle), 1e-3)
-            assert abs(corrected_savings(base, exp, net, cost, "a") - oracle) / scale < 1e-8
-            assert abs(naive - error - oracle) / scale < 1e-8
             with pytest.warns(BoundaryMismatchWarning, match=f"zone {floating} does not start and end"):
-                corrected_savings(base, exp, net, cost, "b")
+                report = savings_report(base, exp, net, cost, plan)
+            oracle, naive = report.oracle_true_usd, report.naive_controlled_usd
+            scale = max(abs(naive), abs(oracle), 1e-3)
+            assert abs(report.corrected_form_a_usd - oracle) / scale < 1e-8
+            assert abs(naive - report.overestimation_error_usd - oracle) / scale < 1e-8
 
 
 class TestCorrectedSavings:
     def test_identical_zero_both_forms(self, two_zone_network):
         grid, plan, base, _ = cold_snap_pair(two_zone_network)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert corrected_savings(base, base, two_zone_network, cost, "a") == 0.0
-        assert corrected_savings(base, base, two_zone_network, cost, "b") == 0.0
+        report = savings_report(base, base, two_zone_network, cost, plan)
+        assert report.corrected_form_a_usd == 0.0
+        assert report.corrected_form_b_usd == 0.0
 
     def test_uniform_price_reduction_two_zone(self, two_zone_network):
         # With one uniform price the inter-zone price-difference terms drop
@@ -166,7 +161,7 @@ class TestCorrectedSavings:
         base, exp = perturbed_pair(rng, two_zone_network, plan, grid)
         price = piecewise_constant_price(np.random.default_rng(3), grid.steps)
         cost = CostModel.uniform(price, 2)
-        full = corrected_savings(base, exp, two_zone_network, cost, "b")
+        full = savings_report(base, exp, two_zone_network, cost, plan).corrected_form_b_usd
         x1 = base.temps_c[:, 0] - exp.temps_c[:, 0]
         conduction = price @ (base.temp_integrals_c_h[:, 0] - exp.temp_integrals_c_h[:, 0])
         reduced = 0.045 * conduction - 0.27 * (np.diff(price) @ x1[1:-1])
@@ -179,10 +174,10 @@ class TestCorrectedSavings:
         plan = SetpointPlan(rng.uniform(19, 22, 4), (1, 2))
         base, exp = perturbed_pair(rng, net, plan, grid)
         cost = random_cost(rng, 4, 32)
-        oracle = oracle_true_savings(base, exp, cost)
+        report = savings_report(base, exp, net, cost, plan)
+        oracle = report.oracle_true_usd
         scale = max(abs(oracle), 1e-3)
-        for form in ("a", "b"):
-            value = corrected_savings(base, exp, net, cost, form)
+        for value in (report.corrected_form_a_usd, report.corrected_form_b_usd):
             assert abs(value - oracle) / scale < 1e-8
 
     def test_boundary_mismatch_warns(self, two_zone_network):
@@ -192,31 +187,19 @@ class TestCorrectedSavings:
         base, exp = perturbed_pair(rng, two_zone_network, plan, grid, pin_terminal=False)
         cost = CostModel.uniform(np.full(16, 0.05), 2)
         with pytest.warns(BoundaryMismatchWarning) as record:
-            form_b = corrected_savings(base, exp, two_zone_network, cost, "b")
+            report = savings_report(base, exp, two_zone_network, cost, plan)
+        assert len(record) == 1
         assert record[0].filename == __file__
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            form_a = corrected_savings(base, exp, two_zone_network, cost, "a")
+        form_a, form_b = report.corrected_form_a_usd, report.corrected_form_b_usd
         amount = float(re.search(r"boundary term (\S+) \$", str(record[0].message)).group(1))
         assert amount == pytest.approx(form_a - form_b, rel=1e-5)
         assert form_a != pytest.approx(form_b, rel=1e-3)
-        with pytest.warns(BoundaryMismatchWarning) as record:
-            savings_report(base, exp, two_zone_network, cost, plan)
-        assert len(record) == 1
-        assert record[0].filename == __file__
 
     def test_price_shape_checked(self, two_zone_network):
         grid, plan, base, exp = cold_snap_pair(two_zone_network)
         one_zone = CostModel(np.full((1, grid.steps), 0.05))
-        for form in ("a", "b"):
-            with pytest.raises(ValueError, match="prices have shape"):
-                corrected_savings(base, exp, two_zone_network, one_zone, form)
-
-    def test_unknown_form_rejected(self, two_zone_network):
-        grid, plan, base, exp = cold_snap_pair(two_zone_network)
-        cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        with pytest.raises(ValueError, match="form"):
-            corrected_savings(base, exp, two_zone_network, cost, "c")
+        with pytest.raises(ValueError, match="prices have shape"):
+            savings_report(base, exp, two_zone_network, one_zone, plan)
 
 
 class TestAccountingIdentity:
@@ -233,11 +216,9 @@ class TestAccountingIdentity:
             plan = SetpointPlan(rng.uniform(18, 23, n), controlled)
             base, exp = perturbed_pair(rng, net, plan, grid)
             cost = random_cost(rng, n, grid.steps)
-            naive = naive_savings(base, exp, cost, plan)
-            error = overestimation_error(base, exp, net, cost, plan)
-            oracle = oracle_true_savings(base, exp, cost)
-            ca = corrected_savings(base, exp, net, cost, "a")
-            cb = corrected_savings(base, exp, net, cost, "b")
+            report = savings_report(base, exp, net, cost, plan)
+            naive, error, oracle = report.naive_controlled_usd, report.overestimation_error_usd, report.oracle_true_usd
+            ca, cb = report.corrected_form_a_usd, report.corrected_form_b_usd
             scale = max(abs(naive), abs(oracle), 1e-3)
             assert abs(naive - error - oracle) / scale < 1e-8
             assert abs(ca - oracle) / scale < 1e-8
@@ -259,8 +240,8 @@ class TestAccountingIdentity:
             plan = SetpointPlan(rng.uniform(19, 22, n), (1,))
             base, exp = perturbed_pair(rng, net, plan, grid)
             cost = CostModel.uniform(np.full(24, 0.06), n)
-            naive = naive_savings(base, exp, cost, plan)
-            oracle = oracle_true_savings(base, exp, cost)
+            report = savings_report(base, exp, net, cost, plan)
+            naive, oracle = report.naive_controlled_usd, report.oracle_true_usd
             assert abs(naive) > 0.0
             assert abs(oracle) <= 1e-8 * abs(naive)
 
@@ -271,8 +252,8 @@ class TestAccountingIdentity:
         cost = CostModel.uniform(np.full(48, 0.05), 2)
         for trial in range(5):
             base, exp = perturbed_pair(rng, two_zone_network, plan, grid)
-            error = overestimation_error(base, exp, two_zone_network, cost, plan)
-            oracle = oracle_true_savings(base, exp, cost)
+            report = savings_report(base, exp, two_zone_network, cost, plan)
+            error, oracle = report.overestimation_error_usd, report.oracle_true_usd
             if abs(oracle) < 1e-9:
                 continue
             assert error / oracle == pytest.approx(2.0, rel=1e-10)
@@ -313,10 +294,6 @@ class TestBuildingMismatch:
     def test_plan_for_another_building(self, plan, match):
         net, _, base, exp, cost = self.three_zone_runs()
         with pytest.raises(ValueError, match=match):
-            naive_savings(base, exp, cost, plan)
-        with pytest.raises(ValueError, match=match):
-            overestimation_error(base, exp, net, cost, plan)
-        with pytest.raises(ValueError, match=match):
             savings_report(base, exp, net, cost, plan)
 
     @pytest.mark.parametrize("zones, steps", [(2, 48), (4, 48), (3, 47)], ids=["2-zone", "4-zone", "wrong-steps"])
@@ -324,30 +301,14 @@ class TestBuildingMismatch:
         # A 4-zone cost once read its first three rows; a 2-zone one raised IndexError.
         net, plan, base, exp, _ = self.three_zone_runs()
         cost = CostModel.uniform(np.full(steps, 0.05), zones)
-        calls = [
-            lambda: per_zone_savings(base, exp, cost, 1),
-            lambda: naive_savings(base, exp, cost, plan),
-            lambda: oracle_true_savings(base, exp, cost),
-            lambda: overestimation_error(base, exp, net, cost, plan),
-            lambda: corrected_savings(base, exp, net, cost, "a"),
-            lambda: corrected_savings(base, exp, net, cost, "b"),
-            lambda: savings_report(base, exp, net, cost, plan),
-        ]
         match = re.escape(f"prices have shape ({zones}, {steps}), expected (3, 48) (zones, steps)")
-        for call in calls:
-            with pytest.raises(ValueError, match=match):
-                call()
+        with pytest.raises(ValueError, match=match):
+            savings_report(base, exp, net, cost, plan)
 
     def test_network_for_another_building(self, two_zone_network):
         _, plan, base, exp, cost = self.three_zone_runs()
-        match = "network has 2 zones, trajectories have 3"
-        with pytest.raises(ValueError, match=match):
-            overestimation_error(base, exp, two_zone_network, cost, plan)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="network has 2 zones, trajectories have 3"):
             savings_report(base, exp, two_zone_network, cost, plan)
-        for form in ("a", "b"):
-            with pytest.raises(ValueError, match=match):
-                corrected_savings(base, exp, two_zone_network, cost, form)
 
 
 class TestSavingsReport:
@@ -392,8 +353,9 @@ class TestClosedForms:
         assert conductance_ratios(net, (1,)) == (0.0,)
         grid, plan, base, exp = cold_snap_pair(net)
         cost = CostModel.uniform(np.full(grid.steps, 0.05), 2)
-        assert overestimation_error(base, exp, net, cost, plan) == 0.0
-        assert oracle_true_savings(base, exp, cost) > 0.0
+        report = off_baseline_report(base, exp, net, cost, plan)
+        assert report.overestimation_error_usd == 0.0
+        assert report.oracle_true_usd > 0.0
 
     def test_interior_zone_is_infinite(self):
         net = ThermalNetwork(

@@ -87,7 +87,7 @@ class TestCostModel:
     def test_uniform_tiles_price(self):
         cm = CostModel.uniform(np.array([0.1, 0.2]), n=3)
         assert cm.prices_usd_per_kwh.shape == (3, 2)
-        assert np.array_equal(cm.zone_price(3), [0.1, 0.2])
+        assert np.array_equal(cm.prices_usd_per_kwh[2], [0.1, 0.2])
 
 
 class TestTrajectory:
