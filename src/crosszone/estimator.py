@@ -60,7 +60,12 @@ class BoundaryMismatchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ZoneSavings:
-    """Cost comparison for one zone (price-weighted thermal energy)."""
+    """Cost comparison for one zone (price-weighted thermal energy).
+
+    ``savings_usd`` is the price-weighted drop in metered power, the term
+    the report's naive and true savings sum, so it may differ from
+    baseline minus experiment cost in the last bits.
+    """
 
     zone: int
     baseline_cost_usd: float
@@ -85,7 +90,9 @@ class SavingsReport:
             sum_z C_z (a_z(K-1) x_z(K) - a_z(0) x_z(0)), which a
             BoundaryMismatchWarning reports.
         oracle_true_usd: metered savings summed over every zone.
-        per_zone: each zone's metered costs, zones numbered 1..n.
+        per_zone: each zone's metered costs and savings, zones numbered
+            1..n; their savings sum to the true and, over the controlled
+            zones, to the naive savings bit for bit.
         relative_error: overestimation error over true savings, or None
             when the true savings are too close to zero for the ratio to
             mean anything.
@@ -162,13 +169,13 @@ def savings_report(
     """Assemble every estimate plus a per-zone cost breakdown."""
     _check(base, exp, net, cost, plan)
     dt = base.grid.dt_h
-    rows = []
-    for i, price in enumerate(cost.prices_usd_per_kwh, 1):
-        base_cost, exp_cost = (float(price @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
-        rows.append(ZoneSavings(i, base_cost, exp_cost, base_cost - exp_cost))
     # Each zone's metered savings, summed over contiguous rows: a strided column may sum in another order.
     dq = (base.powers_kw - exp.powers_kw).T.copy()
     saved = [float(a @ d) * dt for a, d in zip(cost.prices_usd_per_kwh, dq)]
+    rows = []
+    for i, price in enumerate(cost.prices_usd_per_kwh, 1):
+        base_cost, exp_cost = (float(price @ t.powers_kw[:, i - 1]) * dt for t in (base, exp))
+        rows.append(ZoneSavings(i, base_cost, exp_cost, saved[i - 1]))
     naive = sum(saved[i - 1] for i in plan.controlled)
     zone_a, zone_b = _zone_savings(base, exp, net, cost)
     # 0.0 - s rather than -s: with no uncontrolled zone the error is 0.0, not -0.0.

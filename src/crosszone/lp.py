@@ -11,8 +11,12 @@ from ``build_control_lp`` through the solver and the certificates; a dense
 copy is built only when ``LpProblem.a_eq`` is read. Problems are solved by a
 self-contained revised simplex over bounded variables (two phases), which
 stores [A | S], S the signed artificial columns, as one set of triplets and
-starts from the artificial basis through the same refactorization as any
-other basis. The basis inverse is dense and explicit, updated per pivot
+starts through the same refactorization as any other basis. Planning
+starts from a basis walked forward in time over each zone's rows when no
+two controlled zones share a conductance (Bixby, "Implementing the simplex
+method: the initial basis", ORSA J. Comput. 4, 1992), and from the
+artificial basis when they do or when that start is singular or leaves
+its bounds. The basis inverse is dense and explicit, updated per pivot
 and refactorized periodically by triangular substitution
 over the basis's column singletons (Hellerman & Rarick, "Reinversion with
 the preassigned pivot procedure", Math. Programming 1, 1971). The kernel
@@ -61,6 +65,9 @@ __all__ = [
 
 _KKT_TOL = 1e-8
 _PIVOT_TOL = 1e-10
+# How far, relative to 1 + |x|, a basic value of a given start may lie
+# outside its bounds: the rounding of refactor's substitution, not a pivot.
+_START_SLACK = 1e-10
 _DEGENERATE_RUN_LIMIT = 40
 _REFACTOR_EVERY = 100
 
@@ -421,15 +428,24 @@ def _block_triangular_inverse(
     return y, order
 
 
+def _at_a_bound(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Each column at its lower bound if finite, else at its upper if finite, else at 0."""
+    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+
+
 class _Simplex:
     """Bounded-variable revised simplex over [A | S], S = diag(sign) the artificials.
 
     [A | S] is kept as column-ordered triplets (``row``, ``col``, ``val``,
     plus the column pointer ``col_start``): the problem's nonzeros, then
-    artificial column n + i as ``sign[i] * e_i``. The start puts every
-    column at a bound (free ones at 0) and the artificials in the basis,
-    each signed so that its value |b - A x|_i is nonnegative; ``refactor``
-    then computes B^-1 and x_B, as for any basis. The basis inverse is dense.
+    artificial column n + i as ``sign[i] * e_i``. The cold start puts every
+    column at a bound (free ones at 0) and the artificials in the basis.
+    A given ``start = (basis, x)`` names the m basic columns of [A | S] and
+    the structural values: nonbasic ones at a bound, basic ones as
+    estimated. Either way each artificial is signed so that |b - A x|_i is
+    its value, and ``refactor`` then computes B^-1 and x_B, as for any
+    basis; a given start whose basis is singular, or whose basic values
+    leave their bounds, raises ``ValueError``. The basis inverse is dense.
 
     A column's bound status is its pricing weight, kept across both phases:
     -1 at its lower bound, +1 at its upper, 0 when basic or fixed, so a bounded
@@ -438,12 +454,15 @@ class _Simplex:
     they never leave.
     """
 
-    def __init__(self, prob: LpProblem):
+    def __init__(self, prob: LpProblem, start: tuple[np.ndarray, np.ndarray] | None = None):
         m, n = prob.n_rows, prob.n_vars
         self.m, self.n = m, n
         self.b_eq = prob.b_eq
-        weight = np.where(np.isfinite(prob.lower), -1.0, np.where(np.isfinite(prob.upper), 1.0, 0.0))
-        x0 = np.where(weight < 0, prob.lower, np.where(weight > 0, prob.upper, 0.0))
+        if start is None:
+            basis = np.arange(n, n + m)
+            x0 = _at_a_bound(prob.lower, prob.upper)
+        else:
+            basis, x0 = start
         sign = np.where(prob.matvec(x0) <= prob.b_eq, 1.0, -1.0)
         self.row = np.concatenate([prob.row, np.arange(m)])
         self.col = np.concatenate([prob.col, np.arange(n, n + m)])
@@ -452,13 +471,21 @@ class _Simplex:
         self.lower = np.concatenate([prob.lower, np.zeros(m)])
         self.upper = np.concatenate([prob.upper, np.full(m, np.inf)])
         self.x = np.concatenate([x0, np.zeros(m)])
-        self.free = np.nonzero(weight == 0.0)[0]
-        self.weight = np.concatenate([weight, np.zeros(m)])
+        self.basis = np.array(basis)
+        self.weight = np.where(self.x == self.lower, -1.0, np.where(self.x == self.upper, 1.0, 0.0))
+        self.weight[self.basis] = 0.0
         self.weight[self.lower == self.upper] = 0.0
-        self.basis = np.arange(n, n + m)
+        free = np.isinf(self.lower) & np.isinf(self.upper)
+        free[self.basis] = False
+        self.free = np.nonzero(free)[0]
         self.iterations = 0
         self.degenerate_run = 0
         self.refactor()
+        if start is not None:
+            xb = self.x[self.basis]
+            slack = _START_SLACK * (1.0 + np.abs(xb))
+            if not np.all((xb >= self.lower[self.basis] - slack) & (xb <= self.upper[self.basis] + slack)):
+                raise ValueError("a basic value of the start leaves its bounds")
 
     def _price(self, y: np.ndarray) -> np.ndarray:
         """[A | S]^T y."""
@@ -656,13 +683,19 @@ def _unfinished(status: str, iterations: int) -> LpSolution:
     return LpSolution(status, iterations, message=message)
 
 
-def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
+def solve_lp(
+    prob: LpProblem, max_iter: int | None = None, start: tuple[np.ndarray, np.ndarray] | None = None
+) -> LpSolution:
     """Solve the LP deterministically; ``LpSolution`` lists what each status fills.
 
     The status is ``optimal`` only if the KKT residuals, recomputed
     independently of the pivot path, are within 1e-8, and ``uncertified``
     when the optimality phase converged twice, the second time from a
     refactorized basis, to a point whose residuals exceed 1e-8.
+
+    ``start = (basis, x)`` seeds the simplex (see ``_Simplex``); a start
+    that is singular or leaves its bounds falls back to the artificial
+    basis, as does ``start=None``.
     """
     n, m = prob.n_vars, prob.n_rows
     if max_iter is None:
@@ -678,7 +711,12 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
             message=f"variable {prob.names[j]} has lower {prob.lower[j]} > upper {prob.upper[j]}",
         )
 
-    sim = _Simplex(prob)
+    try:
+        sim = _Simplex(prob, start)
+    except ValueError:  # a singular start (np.linalg.LinAlgError is a ValueError) or one outside its bounds
+        if start is None:
+            raise
+        sim = _Simplex(prob)
     c_phase1 = np.concatenate([np.zeros(n), np.ones(m)])
     status = sim.run_phase(c_phase1, max_iter, allow_unbounded=False)
     if status != "optimal":
@@ -724,6 +762,14 @@ def solve_lp(prob: LpProblem, max_iter: int | None = None) -> LpSolution:
     )
 
 
+class _ControlLp(LpProblem):
+    """A control LP with ``start``, its time-walk start ``(basis, x)`` or None."""
+
+    def __init__(self, start: tuple[np.ndarray, np.ndarray] | None, **fields):
+        super().__init__(**fields)
+        object.__setattr__(self, "start", start)
+
+
 def build_control_lp(
     net: ThermalNetwork,
     plan: SetpointPlan,
@@ -743,6 +789,11 @@ def build_control_lp(
     outdoor folded into the affine term) plus T(0) = T(K) = setpoint.
     Bounds keep q within [q_min, q_max] (heating-only by default) and T
     within the comfort band.
+
+    When no two controlled zones share a conductance (always with one
+    zone), the problem's ``start`` is a basis walked forward in time over
+    each zone's rows (``_time_walk``), for ``solve_lp(prob,
+    start=prob.start)``; otherwise it is None.
     """
     k = grid.steps
     ctrl = plan.controlled
@@ -790,15 +841,78 @@ def build_control_lp(
     b_eq[mz * k :] = np.repeat(sp, 2)
 
     band = comfort.delta_c[np.minimum(np.arange(k + 1), k - 1)]
+    t_lo, t_hi = sp[:, None] - band, sp[:, None] + band
+    q_lo, q_hi = np.full((mz, k), q_min_kw, dtype=float), np.full((mz, k), q_max_kw, dtype=float)
     c = np.concatenate([np.zeros(n_temp), np.tile(grid.dt_h * a_step, mz)])
-    lower = np.concatenate([(sp[:, None] - band).ravel(), np.full(mz * k, q_min_kw, dtype=float)])
-    upper = np.concatenate([(sp[:, None] + band).ravel(), np.full(mz * k, q_max_kw, dtype=float)])
+    lower = np.concatenate([t_lo.ravel(), q_lo.ravel()])
+    upper = np.concatenate([t_hi.ravel(), q_hi.ravel()])
     names = []
     for zone in ctrl:
         names.extend(f"T{zone}[{step}]" for step in range(k + 1))
     for zone in ctrl:
         names.extend(f"q{zone}[{step}]" for step in range(k))
-    return LpProblem(c=c, b_eq=b_eq, lower=lower, upper=upper, names=tuple(names), nonzeros=nonzeros)
+
+    start = None
+    if not net.conductances_kw_per_c[np.ix_(ctrl, ctrl)].any():
+        # Phi and Gamma_q are diagonal, so each zone's rows can be walked on their own.
+        temps, q, t_basic, q_basic = _time_walk(
+            np.diagonal(sub.phi), np.diagonal(sub.gamma_q), affine.T, sp, t_lo, t_hi, q_lo, q_hi
+        )
+        x = np.empty(n_temp + mz * k)
+        at_zone, steps = zones[:, None], np.arange(k)
+        x[t_var(at_zone, np.arange(k + 1))], x[q_var(at_zone, steps)] = temps, q
+        basis = np.arange(x.size, x.size + n_rows)
+        dyn_rows = row[:, :, 0].T  # [pos, step]
+        basis[dyn_rows[t_basic]] = t_var(at_zone, steps + 1)[t_basic]
+        basis[dyn_rows[q_basic]] = q_var(at_zone, steps)[q_basic]
+        basis[ends] = t_var(zones, 0)  # T(0) on its start row; the T(K) rows keep their artificials
+        start = (basis, x)
+    return _ControlLp(start, c=c, b_eq=b_eq, lower=lower, upper=upper, names=tuple(names), nonzeros=nonzeros)
+
+
+def _time_walk(
+    phi: np.ndarray,
+    gamma: np.ndarray,
+    affine: np.ndarray,
+    t_start: np.ndarray,
+    t_lo: np.ndarray,
+    t_hi: np.ndarray,
+    q_lo: np.ndarray,
+    q_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk each zone forward in time on its own, for a start basis.
+
+    Zone p follows T(s+1) = phi[p] T(s) + gamma[p] q(s) + affine[p, s] from
+    T(0) = t_start[p], with q(s) at a bound (``_at_a_bound``). Inside
+    T(s+1)'s band [t_lo, t_hi][p, s+1], T(s+1) is basic on row s; below
+    it, q(s) is basic and lifts T(s+1) to its lower band if that fits under
+    q_hi[p, s]; otherwise row s keeps its artificial, with T(s+1) at the
+    nearer band edge.
+
+    Returns the (m, K+1) temperatures, the (m, K) powers and the (m, K)
+    masks of the steps where T(s+1), respectively q(s), is basic.
+    """
+    q = _at_a_bound(q_lo, q_hi)
+    t_lo, t_hi = t_lo[:, 1:], t_hi[:, 1:]
+    held = gamma[:, None] * q + affine
+    temps = np.empty((len(phi), affine.shape[1] + 1))
+    temps[:, 0] = t_start
+    drift = np.empty(affine.shape)
+    for p in range(len(phi)):
+        temp, ph, drifts, clipped = float(t_start[p]), float(phi[p]), [], []
+        for c, low, high in zip(held[p].tolist(), t_lo[p].tolist(), t_hi[p].tolist()):
+            d = ph * temp + c
+            # The drift itself where T(s + 1) is basic, a band edge where it is not.
+            temp = low if d < low else high if d > high else d
+            drifts.append(d)
+            clipped.append(temp)
+        drift[p], temps[p, 1:] = drifts, clipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lift = q + (t_lo - drift) / gamma[:, None]
+    t_basic = (t_lo <= drift) & (drift <= t_hi)
+    q_basic = (drift < t_lo) & (gamma[:, None] > 0) & (lift <= q_hi)
+    q[q_basic] = lift[q_basic]
+    return temps, q, t_basic, q_basic
 
 
 @dataclass(frozen=True)
@@ -848,9 +962,14 @@ def optimize_controlled_zones(
 ) -> ControlOptimum:
     """Plan the controlled zones' powers and temperatures.
 
-    Solves the control LP. The planned temperatures satisfy the exact
-    discretization to solver tolerance, so ``run_experiment`` on the
-    planned powers reproduces them; this function does not re-simulate.
+    Solves the control LP. When no two controlled zones share a
+    conductance (always with one zone), Phi and Gamma_q are diagonal and
+    the simplex starts from a basis walked forward in time over each
+    zone's rows; otherwise, and when that start is singular or leaves its
+    bounds, it starts from the artificial basis. The planned temperatures
+    satisfy the exact discretization to solver tolerance, so
+    ``run_experiment`` on the planned powers reproduces them; this
+    function does not re-simulate.
 
     Raises:
         InfeasibleControlError: when the LP ends without an optimal point
@@ -859,7 +978,7 @@ def optimize_controlled_zones(
             time window.
     """
     prob = build_control_lp(net, plan, grid, price, comfort, gains_kw, outdoor, q_min_kw, q_max_kw)
-    sol = solve_lp(prob)
+    sol = solve_lp(prob, start=prob.start)
     if sol.status != "optimal":
         window = binding_window_h(sol, grid, plan.m)
         detail = f": {sol.message}" if sol.message else ""

@@ -151,7 +151,9 @@ def _render_panel(panel: Panel, ox: float, oy: float, out: list[str]) -> None:
         color = s.color or _COLORS[idx % len(_COLORS)]
         if s.x.size == 0:
             continue
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(s.x).tolist(), py(s.y).tolist()))
+        xy = np.empty(2 * s.x.size)
+        xy[0::2], xy[1::2] = px(s.x), py(s.y)
+        pts = " ".join(["%.2f,%.2f"] * s.x.size) % tuple(xy.tolist())
         dash = ' stroke-dasharray="5,3"' if s.dashed else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -200,7 +200,7 @@ class TestOptimize:
 
     def test_solver_status_named_on_exit_three(self, tmp_path, capsys, monkeypatch):
         stopped = LpSolution("iteration-limit", 7)
-        monkeypatch.setattr("crosszone.lp.solve_lp", lambda prob: stopped)
+        monkeypatch.setattr("crosszone.lp.solve_lp", lambda prob, **kwargs: stopped)
         cfg = write_config(tmp_path)
         assert run_cli("optimize", "--config", cfg, "--out-dir", tmp_path) == 3
         err = capsys.readouterr().err

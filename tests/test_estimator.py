@@ -1,5 +1,6 @@
 """Savings accounting: estimates, identities, and closed forms."""
 
+import json
 import math
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import perturbed_pair, piecewise_constant_price, random_cost, random_network
 
+from crosszone.cli import main
 from crosszone.estimator import (
     BoundaryMismatchWarning,
     GeometryCase,
@@ -328,6 +330,14 @@ class TestSavingsReport:
         assert zone1.savings_usd == pytest.approx(
             zone1.baseline_cost_usd - zone1.experiment_cost_usd, abs=1e-12
         )
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_per_zone_savings_sum_to_the_report_bit_for_bit(self, tmp_path, seed):
+        assert main(["reproduce-example", "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "savings_report.json").read_text())
+        saved = [zone["savings_usd"] for zone in report["per_zone"]]
+        assert sum(saved) == report["oracle_true_usd"]
+        assert saved[0] == report["naive_controlled_usd"]  # zone 1 is the controlled zone
 
     def test_relative_error_undefined_near_zero_truth(self, two_zone_network):
         grid, plan, base, _ = cold_snap_pair(two_zone_network)

@@ -689,6 +689,16 @@ class TestBuiltinStudyPivotPath:
             np.testing.assert_array_equal(y, exact)
         np.testing.assert_allclose(sol.y, ends[-1][1], rtol=0, atol=1e-12)
 
+    def test_planning_walks_to_the_same_vertex(self):
+        cfg = default_config()
+        weather, gains, price = _prepare_inputs(cfg)
+        opt = optimize_controlled_zones(
+            cfg.network, cfg.plan, cfg.grid, price, cfg.comfort(), gains, weather.outdoor, cfg.q_min_kw, cfg.q_max_kw
+        )
+        assert opt.solution.iterations <= 50
+        assert opt.objective_usd.hex() == "0x1.300fbc9e71383p+3"
+        np.testing.assert_array_equal(opt.solution.x, solve_lp(builtin_study_lp()).x)
+
     def test_no_dense_inverse(self, monkeypatch):
         prob = builtin_study_lp()
         calls = []
@@ -719,6 +729,89 @@ class TestCoupledZonesPivotPath:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert (sol.iterations, sol.objective.hex()) == (pivots, objective)
+
+
+def highs_objective(prob):
+    """HiGHS's optimal objective of ``prob``; skips without scipy."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    ref = scipy_opt.linprog(
+        prob.c, A_eq=prob.a_eq, b_eq=prob.b_eq, bounds=list(zip(prob.lower, prob.upper)), method="highs"
+    )
+    assert ref.status == 0
+    return ref.fun
+
+
+def decoupled(net, plan):
+    """``net`` with the conductances between the plan's controlled zones cut."""
+    alpha = net.conductances_kw_per_c.copy()
+    ctrl = np.asarray(plan.controlled)
+    alpha[np.ix_(ctrl, ctrl)] = 0.0
+    return ThermalNetwork(net.capacitances_kwh_per_c, alpha)
+
+
+def assert_same_solution(got, want):
+    assert (got.status, got.iterations, got.objective.hex()) == (want.status, want.iterations, want.objective.hex())
+    np.testing.assert_array_equal(got.x, want.x)
+
+
+class TestTimeWalkStart:
+    """Planning solves from a start walked forward in time when no two controlled zones share a conductance."""
+
+    CASES = TestControlLpAgainstHighs.CASES
+    IDS = [f"m{m}-K{k}-dt{dt}" + ("-zero-band" if zb else "") for m, k, dt, zb in CASES]
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=IDS)
+    def test_planning_matches_highs(self, case):
+        inputs = random_control_inputs(np.random.default_rng([7, case]), *self.CASES[case])
+        opt = optimize_controlled_zones(*inputs)
+        ref = highs_objective(build_control_lp(*inputs))
+        assert abs(opt.objective_usd - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=IDS)
+    def test_decoupled_zones_certified_in_fewer_pivots(self, case):
+        net, plan, *rest = random_control_inputs(np.random.default_rng([7, case]), *self.CASES[case])
+        inputs = (decoupled(net, plan), plan, *rest)
+        prob = build_control_lp(*inputs)
+        opt = optimize_controlled_zones(*inputs)
+        assert kkt_residuals(prob, opt.solution.x, opt.solution.y).max() <= 1e-8
+        assert opt.solution.iterations <= solve_lp(prob).iterations
+        ref = highs_objective(prob)
+        assert abs(opt.objective_usd - ref) <= 1e-9 * abs(ref)
+
+    def test_coupled_zones_keep_the_artificial_start(self, monkeypatch):
+        starts = []
+        real_solve = lp_module.solve_lp
+
+        def solve(prob, **kwargs):
+            starts.append(kwargs)
+            return real_solve(prob, **kwargs)
+
+        monkeypatch.setattr(lp_module, "solve_lp", solve)
+        net, plan, *rest = random_control_inputs(np.random.default_rng([7, 8]), 3, 24)
+        assert net.conductances_kw_per_c[np.ix_(plan.controlled, plan.controlled)].any()
+        optimize_controlled_zones(net, plan, *rest)
+        optimize_controlled_zones(decoupled(net, plan), plan, *rest)
+        assert [kwargs["start"] is None for kwargs in starts] == [True, False]
+
+    def test_singular_start_falls_back(self):
+        prob = builtin_study_lp()
+        basis, x = (v.copy() for v in prob.start)
+        basis[1] = basis[0]  # two rows name one column
+        with pytest.raises(np.linalg.LinAlgError):
+            lp_module._Simplex(prob, (basis, x))
+        assert_same_solution(solve_lp(prob, start=(basis, x)), solve_lp(prob))
+
+    def test_start_outside_its_bounds_falls_back(self):
+        prob = builtin_study_lp()
+        k, n_temp = 480, 481
+        basis, x = (v.copy() for v in prob.start)
+        # A row whose T(s + 1) drifts well inside its band: q(s) basic in its
+        # place, holding T(s + 1) at the lower band, must be negative.
+        s = next(s for s in range(k) if basis[s] == s + 1 and x[s + 1] > prob.lower[s + 1] + 0.1)
+        basis[s], x[s + 1] = n_temp + s, prob.lower[s + 1]
+        with pytest.raises(ValueError, match="bounds"):
+            lp_module._Simplex(prob, (basis, x))
+        assert_same_solution(solve_lp(prob, start=(basis, x)), solve_lp(prob))
 
 
 def dense_control_matrix(net, plan, grid, gains):
