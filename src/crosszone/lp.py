@@ -19,8 +19,11 @@ artificial basis when they do or when that start is singular or leaves
 its bounds. The basis inverse is dense and explicit, updated per pivot
 and refactorized periodically by triangular substitution
 over the basis's column singletons (Hellerman & Rarick, "Reinversion with
-the preassigned pivot procedure", Math. Programming 1, 1971). The kernel
-they leave is inverted by its block triangular form: a maximum transversal
+the preassigned pivot procedure", Math. Programming 1, 1971). A peeled
+row of the inverse is built only on its pivot row and on the rows of
+later rounds and the kernel, so refactorizing a peeled basis holds one
+inverse, not two. The kernel the singletons leave is inverted by its
+block triangular form: a maximum transversal
 (Duff, "On algorithms for obtaining a maximum transversal", ACM TOMS 7,
 1981), then Tarjan's strongly connected components of the matched graph
 (Duff & Reid, "An implementation of Tarjan's algorithm for the block
@@ -515,7 +518,11 @@ class _Simplex:
         triangular over the kernel left at the end, which
         ``_block_triangular_inverse`` inverts. The rows of B^-1 are then
         filled by back substitution from the kernel to the first round. A
-        singular basis raises ``np.linalg.LinAlgError``.
+        row of round t is nonzero only on its own pivot row and on the rows
+        of later rounds and the kernel, and is divided by its pivot there
+        alone, so the division gathers no whole rows of B^-1 and a peeled
+        basis holds one inverse. A singular basis raises
+        ``np.linalg.LinAlgError``.
         """
         m = self.m
         rows, cols, vals = self._basis_triplets()
@@ -572,7 +579,9 @@ class _Simplex:
                 terms = self.b_inv[cols[e]]
                 terms *= vals[e, None]
                 self.b_inv[pivot_col[rows[e]]] -= terms
-            self.b_inv[c] /= v[:, None]
+            # Row c is nonzero only on r and on the rows of later rounds and the kernel.
+            self.b_inv[np.ix_(c, (row_round > t) | (row_round < 0))] /= v[:, None]
+            self.b_inv[c, r] /= v
 
         x_nonbasic = self.x.copy()
         x_nonbasic[self.basis] = 0.0

@@ -230,7 +230,7 @@ class Trajectory:
 
     def __post_init__(self):
         k = self.grid.steps
-        temps = _readonly(np.atleast_2d(self.temps_c))
+        temps = np.atleast_2d(self.temps_c)
         n = temps.shape[1]
         for name, arr, shape in (
             ("temps_c", temps, (k + 1, n)),

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,9 @@ def dense_basis(sim):
 class TestRefactor:
     """The peeled triangular inverse against ``np.linalg.inv`` of the dense basis."""
 
+    CASES = TestControlLpAgainstHighs.CASES
+    IDS = ["builtin-study"] + [f"decoupled-m{m}-K{k}-dt{dt}" + ("-zero-band" if zb else "") for m, k, dt, zb in CASES]
+
     @staticmethod
     def bases_met(monkeypatch, prob):
         met = []
@@ -501,6 +505,29 @@ class TestRefactor:
         assert len(met) >= 3
         for basis_mat, b_inv in met:
             np.testing.assert_allclose(b_inv, np.linalg.inv(basis_mat), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", [None, *range(len(CASES))], ids=IDS)
+    def test_time_walk_start_bases(self, case):
+        # These bases peel in 2 to 98 rounds: 472, 8, 1 and 1 rows on the built-in study.
+        if case is None:
+            prob = builtin_study_lp()
+        else:
+            net, plan, *rest = random_control_inputs(np.random.default_rng([7, case]), *self.CASES[case])
+            prob = build_control_lp(decoupled(net, plan), plan, *rest)
+        sim = lp_module._Simplex(prob, prob.start)
+        np.testing.assert_allclose(sim.b_inv, np.linalg.inv(dense_basis(sim)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("time_walk", [False, True], ids=["artificial-start", "time-walk-start"])
+    def test_holds_one_inverse(self, time_walk):
+        prob = builtin_study_lp()
+        m = prob.n_rows
+        tracemalloc.start()
+        try:
+            lp_module._Simplex(prob, prob.start if time_walk else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m * 8
 
     def test_random_sparse_bases(self):
         rng = np.random.default_rng(17)
